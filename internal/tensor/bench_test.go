@@ -1,9 +1,51 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// linearShapes are the evaluator's largest dense layers on usb_cdc_core:
+// the broadcast message (2939 tree edges, 2H+1 → H), the reduce message
+// (2597 sinks, 2H+2 → H) and the wire head's output layer (H → 1).
+var linearShapes = []struct{ m, k, n int }{{2939, 17, 8}, {2597, 18, 8}, {2597, 8, 1}}
+
+// BenchmarkLinear times one Linear op at the evaluator's shapes on a
+// workspace tape, as the refine loop and training run it: "forward" on
+// constant operands (candidate scoring), "forward+backward" with x, W and
+// b as leaves and a preset output gradient, running the op's recorded
+// backward step(s).
+func BenchmarkLinear(b *testing.B) {
+	for _, sh := range linearShapes {
+		x, w, bias := randTensor(sh.m, sh.k, 1), randTensor(sh.k, sh.n, 2), randTensor(1, sh.n, 3)
+		g := randTensor(sh.m, sh.n, 4).Data
+		name := fmt.Sprintf("%dx%d·%dx%d", sh.m, sh.k, sh.k, sh.n)
+		b.Run(name+"/forward", func(b *testing.B) {
+			ws := NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				tp := ws.Tape()
+				if _, err := tp.Linear(tp.Constant(x), tp.Constant(w), tp.Constant(bias)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/forward+backward", func(b *testing.B) {
+			ws := NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				tp := ws.Tape()
+				y, err := tp.Linear(tp.Leaf(x), tp.Leaf(w), tp.Leaf(bias))
+				if err != nil {
+					b.Fatal(err)
+				}
+				y.Grad = g
+				for r := len(tp.backwards) - 1; r >= 0; r-- {
+					tp.backwards[r]()
+				}
+			}
+		})
+	}
+}
 
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -116,9 +116,17 @@ func TestGradLanesPerOp(t *testing.T) {
 				}
 				return tp.Mul(y, y)
 			}},
-			{"addrowvector-shared-bias", randTensor(1, 3, 10), func(tp *Tape, x *Tensor) (*Tensor, error) {
+			{"linear-shared-bias", randTensor(1, 2, 10), func(tp *Tape, x *Tensor) (*Tensor, error) {
 				a := tp.Constant(lanedRand(K, 4, 3, 110))
-				y, err := tp.AddRowVector(a, x)
+				y, err := tp.Linear(a, tp.Constant(randTensor(3, 2, 113)), x)
+				if err != nil {
+					return nil, err
+				}
+				return tp.Mul(y, y)
+			}},
+			{"linear-perlane-bias", lanedRand(K, 1, 2, 28), func(tp *Tape, x *Tensor) (*Tensor, error) {
+				a := tp.Constant(lanedRand(K, 4, 3, 128))
+				y, err := tp.Linear(a, tp.Constant(randTensor(3, 2, 129)), x)
 				if err != nil {
 					return nil, err
 				}

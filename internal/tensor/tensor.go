@@ -446,179 +446,6 @@ func (tp *Tape) MulBroadcast(a, s *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// MatMul returns a·b for a [m×k] and b [k×n], per lane; a 1-lane operand
-// (shared weights against K-lane activations, or vice versa) broadcasts
-// and its gradient accumulates over lanes in fixed lane order.
-func (tp *Tape) MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("tensor: matmul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	lanes, err := laneCompat(a, b)
-	if err != nil {
-		return nil, err
-	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	out := tp.resultRaw(lanes, m, n, a.requiresGrad || b.requiresGrad)
-	st := out.laneStride()
-	// Each output element accumulates av·b[kk][j] over kk in index order
-	// starting from 0, exactly as the classic zeroed-output loop would —
-	// the stack accumulator only removes the per-kk load/store of the
-	// output row, never reorders a floating-point addition.
-	var acc [32]float64
-	for l := 0; l < lanes; l++ {
-		ad, bd, od := opLane(a, l), opLane(b, l), out.Data[l*st:(l+1)*st]
-		switch {
-		case n == 1:
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				var s float64
-				for kk, av := range ar {
-					if av == 0 {
-						continue
-					}
-					s += av * bd[kk]
-				}
-				od[i] = s
-			}
-		case n <= len(acc):
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				ac := acc[:n]
-				for j := range ac {
-					ac[j] = 0
-				}
-				for kk := 0; kk < k; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					br := bd[kk*n : (kk+1)*n : (kk+1)*n]
-					for j := range ac {
-						ac[j] += av * br[j]
-					}
-				}
-				copy(od[i*n:(i+1)*n], ac)
-			}
-		default:
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				or := od[i*n : (i+1)*n]
-				for j := range or {
-					or[j] = 0
-				}
-				for kk := 0; kk < k; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					br := bd[kk*n : (kk+1)*n]
-					for j := 0; j < n; j++ {
-						or[j] += av * br[j]
-					}
-				}
-			}
-		}
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			if a.requiresGrad {
-				a.ensureGrad()
-				// dA = dOut · Bᵀ
-				for l := 0; l < lanes; l++ {
-					ag, bd, og := opLaneGrad(a, l), opLane(b, l), out.Grad[l*st:(l+1)*st]
-					for i := 0; i < m; i++ {
-						gr := og[i*n : (i+1)*n]
-						agr := ag[i*k : (i+1)*k]
-						for kk := 0; kk < k; kk++ {
-							br := bd[kk*n : (kk+1)*n]
-							var s float64
-							for j := 0; j < n; j++ {
-								s += gr[j] * br[j]
-							}
-							agr[kk] += s
-						}
-					}
-				}
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				// dB = Aᵀ · dOut
-				for l := 0; l < lanes; l++ {
-					bg, ad, og := opLaneGrad(b, l), opLane(a, l), out.Grad[l*st:(l+1)*st]
-					for kk := 0; kk < k; kk++ {
-						bgr := bg[kk*n : (kk+1)*n]
-						for i := 0; i < m; i++ {
-							av := ad[i*k+kk]
-							if av == 0 {
-								continue
-							}
-							gr := og[i*n : (i+1)*n]
-							for j := 0; j < n; j++ {
-								bgr[j] += av * gr[j]
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
-// AddRowVector returns a + broadcast(v) where v is a 1×n (or n×1) bias
-// added to every row of the m×n matrix a, per lane; v may be unbatched
-// (a shared bias) or carry one vector per lane.
-func (tp *Tape) AddRowVector(a, v *Tensor) (*Tensor, error) {
-	if v.laneStride() != a.Cols {
-		return nil, fmt.Errorf("tensor: bias of %d for %d cols", v.laneStride(), a.Cols)
-	}
-	lanes, err := laneCompat(a, v)
-	if err != nil {
-		return nil, err
-	}
-	out := tp.resultRaw(lanes, a.Rows, a.Cols, a.requiresGrad || v.requiresGrad)
-	st := out.laneStride()
-	for l := 0; l < lanes; l++ {
-		ad, vd, od := opLane(a, l), opLane(v, l), out.Data[l*st:(l+1)*st]
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < a.Cols; j++ {
-				od[i*a.Cols+j] = ad[i*a.Cols+j] + vd[j]
-			}
-		}
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			if a.requiresGrad {
-				a.ensureGrad()
-				for l := 0; l < lanes; l++ {
-					ag, og := opLaneGrad(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i]
-					}
-				}
-			}
-			if v.requiresGrad {
-				v.ensureGrad()
-				for l := 0; l < lanes; l++ {
-					vg, og := opLaneGrad(v, l), out.Grad[l*st:(l+1)*st]
-					for i := 0; i < a.Rows; i++ {
-						for j := 0; j < a.Cols; j++ {
-							vg[j] += og[i*a.Cols+j]
-						}
-					}
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
 // ReLU returns max(0, a) elementwise.
 func (tp *Tape) ReLU(a *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
@@ -1147,13 +974,4 @@ func (tp *Tape) SegmentLSE(a *Tensor, seg []int32, nOut int, gamma float64) (*Te
 		})
 	}
 	return out, nil
-}
-
-// Linear is the composite x·W + b over the tape.
-func (tp *Tape) Linear(x, w, b *Tensor) (*Tensor, error) {
-	y, err := tp.MatMul(x, w)
-	if err != nil {
-		return nil, err
-	}
-	return tp.AddRowVector(y, b)
 }

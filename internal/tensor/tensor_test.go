@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,21 +175,42 @@ func TestGradScaleAddScalar(t *testing.T) {
 	})
 }
 
-func TestGradAddRowVectorBias(t *testing.T) {
-	b := randTensor(1, 4, 15)
-	a := randTensor(5, 4, 16)
-	checkGrad(t, "bias", b, func(tp *Tape, b *Tensor) (*Tensor, error) {
-		ac := tp.Constant(a.Clone())
-		y, err := tp.AddRowVector(ac, b)
-		if err != nil {
-			return nil, err
+// TestGradLinear gradchecks x, W and b of Linear: 17→8 runs the
+// register-blocked 8-column paths (with the 8-wide dX specialization) at
+// the evaluator's widths, 8→1 and 3→4 the single-column tail paths.
+func TestGradLinear(t *testing.T) {
+	for _, sh := range []struct{ k, n int }{{17, 8}, {8, 1}, {3, 4}} {
+		x := randTensor(5, sh.k, 26)
+		w := randTensor(sh.k, sh.n, 27)
+		b := randTensor(1, sh.n, 28)
+		x.Data[3] = 0 // exercise the zero-input skip
+		leaves := []struct {
+			name string
+			t    *Tensor
+		}{{"x", x}, {"w", w}, {"b", b}}
+		for li, leaf := range leaves {
+			name := fmt.Sprintf("linear-%dx%d/%s", sh.k, sh.n, leaf.name)
+			checkGrad(t, name, leaf.t, func(tp *Tape, v *Tensor) (*Tensor, error) {
+				ops := [3]*Tensor{}
+				for i, o := range leaves {
+					if i == li {
+						ops[i] = v
+					} else {
+						ops[i] = tp.Constant(o.t.Clone())
+					}
+				}
+				y, err := tp.Linear(ops[0], ops[1], ops[2])
+				if err != nil {
+					return nil, err
+				}
+				sq, err := tp.Mul(y, y)
+				if err != nil {
+					return nil, err
+				}
+				return tp.Sum(sq)
+			})
 		}
-		sq, err := tp.Mul(y, y)
-		if err != nil {
-			return nil, err
-		}
-		return tp.Sum(sq)
-	})
+	}
 }
 
 func TestGradConcatCols(t *testing.T) {
@@ -428,8 +450,11 @@ func TestShapeErrors(t *testing.T) {
 	if _, err := tp.MatMul(a, a); err == nil {
 		t.Fatal("bad matmul accepted")
 	}
-	if _, err := tp.AddRowVector(a, tp.Constant(NewVector(2))); err == nil {
+	if _, err := tp.Linear(a, b, tp.Constant(NewVector(3))); err == nil {
 		t.Fatal("bad bias accepted")
+	}
+	if _, err := tp.Linear(a, b, tp.Constant(lanedRand(2, 1, 2, 43))); err == nil {
+		t.Fatal("2-lane bias on a 1-lane product accepted")
 	}
 	if _, err := tp.GatherRows(a, []int32{5}); err == nil {
 		t.Fatal("out-of-range gather accepted")

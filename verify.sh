@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # verify.sh — the contributor verification loop from CLAUDE.md:
 # build, vet, full tests, then the race-mode pass that gates the
-# concurrency layer (internal/par and the obs collectors), a race-mode
+# concurrency layer (internal/par and the obs collectors), a 50-run
+# two-core repeat of the worker-pool tests, a race-mode
 # pass over the fault-tolerance suite (injected faults, checkpoint/
 # resume, panic containment), the property/differential-oracle gate,
 # the scaled-design gates (shard-count byte-identity under -race,
@@ -25,6 +26,10 @@ go vet ./...
 go test ./...
 go test -race -short ./...
 go test -race -run 'Fault|Resume|Panic' ./...
+
+# Scheduling gate: the worker pool's tests, repeated on two real cores,
+# where a second worker can race ahead of a failing one.
+GOMAXPROCS=2 go test -count=50 ./internal/par
 
 # Daemon gate: the tsteinerd byte-identity + fault matrix (concurrent
 # submits vs serial runner, kill/restart resume, queue saturation, retry
@@ -67,8 +72,11 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # count, and must replay the metrics recorded in BENCH_refine.json.
 # BatchReplay covers the batched paths: the fused multi-candidate
 # forward (refiner lanes, batched accumulation) against the sequential
-# reference, bench- and pipeline-level.
-go test -run 'Workspace|BenchReplay|BatchReplay' ./...
+# reference, bench- and pipeline-level. DenseMatchesNaive holds the
+# register-blocked Linear/MatMul kernel bit for bit to the naive loops,
+# and TrainHashPinned holds all three training trajectories to recorded
+# model hashes (the replay pins above never see a weight gradient).
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json or
