@@ -149,8 +149,9 @@ func denseForward(od, xd, wd, bd []float64, m, k, n int) {
 }
 
 // denseGradX accumulates dX += G·Wᵀ for one lane. Each dX element's sum
-// runs over all n columns, so a full-width block keeps the gradient row in
-// registers across the kk loop instead of splitting the sum.
+// runs over all n columns in one chain, so only a product exactly one
+// block wide (the evaluator's) holds its gradient row in registers across
+// the kk loop; other widths take the plain loop.
 func denseGradX(xg, g, wd []float64, m, k, n int) {
 	if n == denseBlock {
 		for i := 0; i < m; i++ {
