@@ -106,7 +106,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			return err
 		})
 		out.Entries = append(out.Entries, parallelBenchEntry{
-			Name: fmt.Sprintf("suite-sample-build/%dx@%.2g", len(designs), benchScale),
+			Name:        fmt.Sprintf("suite-sample-build/%dx@%.2g", len(designs), benchScale),
 			Workers1Sec: w1, Workers4Sec: w4, Speedup: w1 / w4,
 		})
 		b.ReportMetric(w1/w4, "suiteSpeedup4w")

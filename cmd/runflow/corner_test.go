@@ -28,14 +28,14 @@ func writeDesign(t *testing.T, dir string, seed int64) string {
 	return path
 }
 
-// TestShardedStreamCorners drives the large-design path end to end:
-// streaming decode, sharded refinement, and the multi-corner matrix
-// tables for both the baseline and the sharded result.
-func TestShardedStreamCorners(t *testing.T) {
+// TestShardedCorners drives the large-design path end to end: sharded
+// refinement and the multi-corner matrix tables for both the baseline
+// and the sharded result.
+func TestShardedCorners(t *testing.T) {
 	dir := t.TempDir()
 	path := writeDesign(t, dir, 5)
 	out := check.RunMain(t, dir, main,
-		"-design", path, "-stream", "-shards", "2", "-rounds", "2",
+		"-design", path, "-shards", "2", "-rounds", "2",
 		"-corners", "default")
 	for _, want := range []string{"sign-off corner matrix", "sharded corner matrix",
 		"fast", "typical", "slow", "sharded:"} {
@@ -80,5 +80,4 @@ func TestCornerMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	check.RunFail(t, dir, bin, "-design", bad)
-	check.RunFail(t, dir, bin, "-design", bad, "-stream")
 }

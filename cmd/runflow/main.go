@@ -13,12 +13,10 @@
 //	        [-workers N] [-obs-out trace.ndjson] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	        [-checkpoint-dir dir] [-resume] [-deadline 10m]
 //
-// Large designs: -stream loads the file through the token-wise streaming
-// decoder (internal/designio.StreamDesignFile), so the JSON is never
-// materialized alongside the netlist; -shards N runs sharded incremental
-// refinement (internal/shard) instead of the GNN refiner:
+// Large designs: -shards N runs sharded incremental refinement
+// (internal/shard) instead of the GNN refiner:
 //
-//	runflow -design big.json -stream -shards 4 [-rounds 8]
+//	runflow -design big.json -shards 4 [-rounds 8]
 package main
 
 import (
@@ -55,7 +53,6 @@ func main() {
 		iters   = flag.Int("iters", 25, "max refinement iterations N (-refine)")
 		lanes   = flag.Int("lanes", 0, "line-search candidates per fused batched forward (0 = sequential; -refine)")
 		seed    = flag.Int64("seed", 2023, "random seed (-refine)")
-		stream  = flag.Bool("stream", false, "load the design through the streaming decoder (constant decode memory)")
 		shards  = flag.Int("shards", 0, "run sharded incremental refinement with this many proposal shards (0 = off)")
 		rounds  = flag.Int("rounds", 8, "sharded refinement rounds (-shards)")
 		cspec   = flag.String("corners", "", `multi-corner sign-off: comma-separated presets fast|typical|slow, "default", or name:delayScale:slewScale:clockScale (empty = typical only)`)
@@ -105,15 +102,9 @@ func main() {
 	}
 
 	l := lib.Default()
-	// Both loaders reject truncated or corrupt design files with a typed
-	// error instead of decoding a partial design; the streaming one never
-	// holds the decoded JSON and the netlist at the same time.
-	var d *netlist.Design
-	if *stream {
-		d, err = designio.StreamDesignFile(*path, l)
-	} else {
-		d, err = designio.ReadJSONFile(*path, l)
-	}
+	// A truncated or corrupt design file is a typed error, never a
+	// partially decoded design.
+	d, err := designio.ReadJSONFile(*path, l)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -255,7 +246,6 @@ func refineDesign(p *flow.Prepared, timing *sta.Result, baseline *flow.Report, e
 	topt := train.DefaultOptions()
 	topt.Epochs = epochs
 	topt.Seed = seed
-	topt.Workers = workers
 	topt.Obs = sink
 	topt.Budget = budget
 	if shared.CheckpointDir != "" {

@@ -146,14 +146,14 @@ func TestChooseLane(t *testing.T) {
 		wns, tns []float64
 		want     int
 	}{
-		{[]float64{-5, -3, -4}, []float64{-10, -10, -10}, 1},     // max WNS wins
-		{[]float64{-5, -5, -5}, []float64{-10, -8, -9}, 1},       // WNS tie → max TNS
-		{[]float64{-5, -5}, []float64{-10, -10}, 0},              // full tie → lowest lane
-		{[]float64{nan, -7}, []float64{nan, -10}, 1},             // NaN never wins
-		{[]float64{-7, nan}, []float64{-10, nan}, 0},             // NaN never displaces
-		{[]float64{nan, nan}, []float64{nan, nan}, 0},            // all poisoned → lane 0
-		{[]float64{-5, math.Inf(1)}, []float64{-10, -1}, 0},      // Inf treated as poisoned
-		{[]float64{-5, -5}, []float64{-10, math.Inf(-1)}, 0},     // non-finite TNS too
+		{[]float64{-5, -3, -4}, []float64{-10, -10, -10}, 1}, // max WNS wins
+		{[]float64{-5, -5, -5}, []float64{-10, -8, -9}, 1},   // WNS tie → max TNS
+		{[]float64{-5, -5}, []float64{-10, -10}, 0},          // full tie → lowest lane
+		{[]float64{nan, -7}, []float64{nan, -10}, 1},         // NaN never wins
+		{[]float64{-7, nan}, []float64{-10, nan}, 0},         // NaN never displaces
+		{[]float64{nan, nan}, []float64{nan, nan}, 0},        // all poisoned → lane 0
+		{[]float64{-5, math.Inf(1)}, []float64{-10, -1}, 0},  // Inf treated as poisoned
+		{[]float64{-5, -5}, []float64{-10, math.Inf(-1)}, 0}, // non-finite TNS too
 		{[]float64{-9, -2, -2, -4}, []float64{-20, -6, -5, -8}, 2},
 	}
 	for i, c := range cases {

@@ -84,7 +84,6 @@ func TestRefineResumeByteIdentical(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "refine.ckpt")
 		iopt := opt
 		iopt.CheckpointPath = path
-		iopt.CheckpointEvery = 1
 		iopt.Budget = &guard.Budget{MaxIters: cut}
 		interrupted, err := refinerWith(t, r, iopt).Refine()
 		if err != nil {
@@ -114,7 +113,6 @@ func TestRefineResumeAfterCompletionIsIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "refine.ckpt")
 	opt := guardOptions()
 	opt.CheckpointPath = path
-	opt.CheckpointEvery = 1
 	full, err := refinerWith(t, r, opt).Refine()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +233,6 @@ func TestRefineCorruptCheckpointFailsLoudly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "refine.ckpt")
 	opt := guardOptions()
 	opt.CheckpointPath = path
-	opt.CheckpointEvery = 1
 	opt.Budget = &guard.Budget{MaxIters: 2}
 	if _, err := refinerWith(t, r, opt).Refine(); err != nil {
 		t.Fatal(err)
@@ -263,7 +260,6 @@ func TestRefineCorruptCheckpointFailsLoudly(t *testing.T) {
 	inj.ArmFrom("guard.ckpt.truncate", 2)
 	topt := guardOptions()
 	topt.CheckpointPath = path
-	topt.CheckpointEvery = 1
 	topt.Budget = &guard.Budget{MaxIters: 2}
 	topt.Fault = inj
 	if _, err := refinerWith(t, r, topt).Refine(); err != nil {
@@ -287,7 +283,6 @@ func TestRefineGuardsAreSideChannel(t *testing.T) {
 	}
 	gopt := guardOptions()
 	gopt.CheckpointPath = filepath.Join(t.TempDir(), "refine.ckpt")
-	gopt.CheckpointEvery = 2
 	gopt.Budget = &guard.Budget{Wall: time.Hour, MaxIters: 10_000}
 	gopt.Fault = fault.New(9) // armed with nothing
 	guarded, err := refinerWith(t, r, gopt).Refine()

@@ -81,14 +81,13 @@ type Options struct {
 
 	// CheckpointPath, when non-empty, makes the loop write an atomic,
 	// CRC-checksummed snapshot of its full state (positions, SO moments,
-	// best solution, λ escalation, θ) every CheckpointEvery iterations
-	// (default 1). With Resume set, a valid checkpoint at that path is
-	// loaded and the run continues from it — byte-identical to a run that
-	// was never interrupted. A corrupt checkpoint fails loudly with a
+	// best solution, λ escalation, θ) after every iteration. With Resume
+	// set, a valid checkpoint at that path is loaded and the run
+	// continues from it — byte-identical to a run that was never
+	// interrupted. A corrupt checkpoint fails loudly with a
 	// *guard.CorruptError; a missing one starts fresh.
-	CheckpointPath  string
-	CheckpointEvery int
-	Resume          bool
+	CheckpointPath string
+	Resume         bool
 
 	// Fault is the deterministic fault injector (nil in production, zero
 	// overhead). Armed sites: "core.nan" poisons the iteration's gradient,
@@ -519,10 +518,6 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 	// shared by every forest in the loop (clones preserve topology).
 	x0, y0, idx := startForest.SteinerPositions()
 
-	every := opt.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
 	var st *refineState
 	if opt.Resume && ckptPath != "" {
 		var err error
@@ -801,7 +796,7 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 		if ratioImproved(initWNS, res.BestWNS, opt.Mu) || ratioImproved(initTNS, res.BestTNS, opt.Mu) {
 			res.ConvergedByRatio = true
 		}
-		if ckptPath != "" && ((t+1)%every == 0 || res.ConvergedByRatio) {
+		if ckptPath != "" {
 			cx, cy, _ := cur.SteinerPositions()
 			bx, by, _ := best.SteinerPositions()
 			snap := &refineState{

@@ -220,6 +220,10 @@ func ReadJSON(r io.Reader, l *lib.Library) (*netlist.Design, error) {
 	return out, nil
 }
 
+// StreamDesign is ReadJSON, under the name the scaled-design callers
+// load through.
+func StreamDesign(r io.Reader, l *lib.Library) (*netlist.Design, error) { return ReadJSON(r, l) }
+
 // WriteVerilog emits a structural Verilog view of the design: ports,
 // wires, and one instance per cell with named port connections. Net names
 // are reused as wire names; the ideal clock is emitted as an input port

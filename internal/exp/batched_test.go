@@ -13,12 +13,10 @@ import (
 	"tsteiner/internal/train"
 )
 
-// runBatchedFlow runs the small end-to-end pipeline with both batched
-// modes on: the trainer in batched gradient-accumulation mode (one fused
-// ForwardBatch per sample group) and the refiner evaluating 4 line-search
-// candidates per iteration as lanes of one fused forward. disableWS
-// selects the sequential reference side: an allocating tape per
-// evaluation and one forward per candidate.
+// runBatchedFlow runs the small end-to-end pipeline with the refiner
+// evaluating 4 line-search candidates per iteration as lanes of one
+// fused forward. disableWS selects the sequential reference side: an
+// allocating tape per evaluation and one forward per candidate.
 func runBatchedFlow(t *testing.T, workers int, disableWS bool) string {
 	t.Helper()
 	cfg := flow.DefaultConfig()
@@ -29,8 +27,7 @@ func runBatchedFlow(t *testing.T, workers int, disableWS bool) string {
 		t.Fatal(err)
 	}
 	m := gnn.NewModel(gnn.DefaultConfig(), 7)
-	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1, Workers: workers,
-		Accumulate: true, BatchedAccumulate: true}
+	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1}
 	loss, err := train.Train(m, []*train.Sample{smp}, topt)
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +68,11 @@ func runBatchedFlow(t *testing.T, workers int, disableWS bool) string {
 }
 
 // TestBatchReplayPipelineByteIdentical is the pipeline-level batched
-// determinism gate: with batched accumulation in the trainer and
-// 4-candidate lane evaluation in the refiner, the fused path and the
-// sequential reference must produce byte-identical outputs — trained
-// loss, per-iteration history including the chosen lane, sign-off
-// metrics and final Steiner coordinates — at workers=1 and workers=4.
+// determinism gate: with 4-candidate lane evaluation in the refiner, the
+// fused path and the sequential reference must produce byte-identical
+// outputs — trained loss, per-iteration history including the chosen
+// lane, sign-off metrics and final Steiner coordinates — at workers=1
+// and workers=4.
 func TestBatchReplayPipelineByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs the spm pipeline four times")

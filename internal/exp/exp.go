@@ -110,9 +110,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if cfg.Flow.Workers == 0 {
 		cfg.Flow.Workers = cfg.Workers
 	}
-	if cfg.Train.Workers == 0 {
-		cfg.Train.Workers = cfg.Workers
-	}
 	if cfg.Flow.Obs == nil {
 		cfg.Flow.Obs = cfg.Obs
 	}

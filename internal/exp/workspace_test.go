@@ -13,11 +13,10 @@ import (
 	"tsteiner/internal/train"
 )
 
-// runWorkspaceFlow runs the small end-to-end pipeline with the trainer in
-// gradient-accumulation mode (exercising the pooled clone/workspace reuse
-// across workers) and the refiner either on the pooled workspace + memo
-// path or on the allocating reference path, serializing every algorithmic
-// output exactly like runObsFlow.
+// runWorkspaceFlow runs the small end-to-end pipeline with the refiner
+// either on the pooled workspace + memo path or on the allocating
+// reference path, serializing every algorithmic output exactly like
+// runObsFlow.
 func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
 	t.Helper()
 	cfg := flow.DefaultConfig()
@@ -28,7 +27,7 @@ func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
 		t.Fatal(err)
 	}
 	m := gnn.NewModel(gnn.DefaultConfig(), 7)
-	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1, Workers: workers, Accumulate: true}
+	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1}
 	loss, err := train.Train(m, []*train.Sample{smp}, topt)
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,10 @@ type Batch struct {
 	Levels []Level
 	NPins  int
 	// Startpoint boundary conditions.
-	QPins, QNet   []int32 // register outputs and their nets
-	QFeats        []float64
+	QPins, QNet []int32 // register outputs and their nets
+	QFeats      []float64
 	// QFeats split into d0/slope columns (finalizeDerived).
-	QD0, QSlope []float64
+	QD0, QSlope   []float64
 	PIPins, PINet []int32
 	// Endpoints and their required times.
 	Endpoints   []int32

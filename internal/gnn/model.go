@@ -157,17 +157,6 @@ func (m *Model) RestoreParams(vals [][]float64) error {
 	return nil
 }
 
-// SyncParamsFrom copies parameter values from src into the receiver
-// (shapes must match — both models must share a Config). Used by pooled
-// training workers to refresh a reused clone instead of allocating a new
-// one each epoch.
-func (m *Model) SyncParamsFrom(src *Model) {
-	dst := m.Params()
-	for i, p := range src.Params() {
-		copy(dst[i].Data, p.Data)
-	}
-}
-
 // Params returns every trainable tensor.
 func (m *Model) Params() []*tensor.Tensor {
 	return []*tensor.Tensor{

@@ -306,27 +306,6 @@ func (g *Grid) AssignLayerV(x, y int) int {
 	return g.assignLayer(Vert, g.vIndex(x, y), g.layerUseV)
 }
 
-// AssignLayerSticky books a track preferring the previous layer when it
-// matches the step's direction and is below capacity, falling back to the
-// least-used suitable layer. Cuts via counts on straight runs.
-func (g *Grid) AssignLayerSticky(horiz bool, x, y, prev int) int {
-	d := Vert
-	idx := g.vIndex(x, y)
-	use := g.layerUseV
-	if horiz {
-		d = Horiz
-		idx = g.hIndex(x, y)
-		use = g.layerUseH
-	}
-	if idx >= 0 && prev >= 1 && prev < len(g.LayerCap) &&
-		g.LayerDir[prev] == d && g.LayerCap[prev] > 0 &&
-		int(use[prev][idx]) < g.LayerCap[prev] {
-		use[prev][idx]++
-		return prev
-	}
-	return g.assignLayer(d, idx, use)
-}
-
 func (g *Grid) assignLayer(d Dir, idx int, use [][]int32) int {
 	if idx < 0 {
 		return -1

@@ -82,11 +82,6 @@ type Options struct {
 	// nets claim uncongested resources — classic timing-driven global
 	// routing. Nil keeps netlist order (the CUGR-like baseline).
 	NetPriority []float64
-	// ViaAwareLayers makes layer assignment sticky: consecutive
-	// same-direction steps stay on the previous layer while it has
-	// headroom, trading a little balance for far fewer vias. Off by
-	// default (the recorded experiments use plain least-used balancing).
-	ViaAwareLayers bool
 	// StaticPatterns makes the initial pattern route a congestion-blind
 	// pure function of the edge endpoints (a deterministic L whose
 	// corner is picked by coordinate parity). Phase-1 grid usage then
@@ -287,13 +282,11 @@ func (r *router) assignLayers(er *EdgeRoute) {
 		horiz := a.Y == b.Y
 		var l int
 		if r.opt.StaticPatterns {
-			// Static mode trades the balancer (and ViaAwareLayers) for
-			// a per-step pure assignment: a net's layers depend only on
-			// its own cells, which is what lets incremental replay skip
-			// untouched nets entirely.
+			// Static mode trades the balancer for a per-step pure
+			// assignment: a net's layers depend only on its own cells,
+			// which is what lets incremental replay skip untouched nets
+			// entirely.
 			l = r.g.StaticLayer(horiz, min(a.X, b.X), min(a.Y, b.Y))
-		} else if r.opt.ViaAwareLayers && prev >= 0 {
-			l = r.g.AssignLayerSticky(horiz, min(a.X, b.X), min(a.Y, b.Y), prev)
 		} else if horiz {
 			l = r.g.AssignLayerH(min(a.X, b.X), a.Y)
 		} else {

@@ -314,54 +314,6 @@ func TestEdgeShiftReducesEstimatedCongestion(t *testing.T) {
 	}
 }
 
-func TestViaAwareLayersReduceVias(t *testing.T) {
-	count := func(viaAware bool) int {
-		spec, _ := synth.BenchmarkByName("cic_decimator")
-		d, err := synth.Generate(spec, lib.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := place.Place(d, place.DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
-		f, err := rsmt.BuildAll(d, rsmt.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := grid.New(d.Die, 8, []int{0, 6, 6, 5, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.ViaAwareLayers = viaAware
-		res, err := Route(d, f, g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Layer/direction consistency must hold in both modes.
-		for ni := range res.Routes {
-			for _, er := range res.Routes[ni].Edges {
-				for i, l := range er.Layers {
-					a, b := er.Cells[i], er.Cells[i+1]
-					horiz := a.Y == b.Y
-					if horiz && g.LayerDir[l] != grid.Horiz || !horiz && g.LayerDir[l] != grid.Vert {
-						t.Fatal("sticky assignment broke direction/layer invariant")
-					}
-				}
-			}
-		}
-		return res.Vias
-	}
-	plain := count(false)
-	sticky := count(true)
-	if sticky > plain {
-		t.Fatalf("via-aware assignment increased vias: %d -> %d", plain, sticky)
-	}
-	if sticky == plain {
-		t.Log("via counts equal; sticky mode had no opportunity on this design")
-	}
-}
-
 func TestNetPriorityOrdering(t *testing.T) {
 	d, f, g, _ := routedFixture(t, "spm", 1.0)
 	g.ResetUsage()

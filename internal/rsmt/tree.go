@@ -94,12 +94,24 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Validate checks tree invariants against the design:
+//   - the net ID and every edge endpoint are in range,
 //   - node 0 is the net's driver pin,
 //   - the pin nodes are exactly the net's pins,
 //   - |E| = |V|−1 and the tree is connected (hence acyclic).
+//
+// The range checks come first, so a malformed tree (one decoded from an
+// untrusted file, say) is an error, never an index panic.
 func (t *Tree) Validate(d *netlist.Design) error {
+	if t.Net < 0 || int(t.Net) >= len(d.Nets) {
+		return fmt.Errorf("rsmt: tree for net %d, design has %d nets", t.Net, len(d.Nets))
+	}
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("rsmt: empty tree for net %d", t.Net)
+	}
+	for _, e := range t.Edges {
+		if e.A < 0 || int(e.A) >= len(t.Nodes) || e.B < 0 || int(e.B) >= len(t.Nodes) {
+			return fmt.Errorf("rsmt: net %d: edge (%d,%d) outside %d nodes", t.Net, e.A, e.B, len(t.Nodes))
+		}
 	}
 	net := d.Net(t.Net)
 	if t.Nodes[0].Kind != PinNode || t.Nodes[0].Pin != net.Driver {
@@ -248,12 +260,16 @@ func (f *Forest) Clone() *Forest {
 	return c
 }
 
-// Validate checks every tree.
+// Validate checks that slot i holds net i's tree and that every tree is
+// valid.
 func (f *Forest) Validate(d *netlist.Design) error {
 	if len(f.Trees) != len(d.Nets) {
 		return fmt.Errorf("rsmt: forest has %d trees for %d nets", len(f.Trees), len(d.Nets))
 	}
-	for _, t := range f.Trees {
+	for i, t := range f.Trees {
+		if int(t.Net) != i {
+			return fmt.Errorf("rsmt: forest slot %d holds net %d's tree", i, t.Net)
+		}
 		if err := t.Validate(d); err != nil {
 			return err
 		}

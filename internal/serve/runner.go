@@ -258,7 +258,6 @@ func (rn *Runner) model(req *JobRequest, family string, smp *train.Sample, budge
 		topt := train.DefaultOptions()
 		topt.Epochs = req.Epochs
 		topt.Seed = req.Seed
-		topt.Workers = req.Workers
 		topt.Obs = jobSink
 		topt.Budget = budget
 		topt.Fault = rn.Fault

@@ -165,6 +165,14 @@ const (
 	maxIters   = 1 << 20
 	maxShards  = 1 << 12
 	maxCorners = 8
+	// The refiner allocates one buffer of every Steiner coordinate per
+	// lane. Lane k scales the step by 2^-k, so past ~53 lanes a float64
+	// step adds nothing to the base position: more lanes only cost memory.
+	maxLanes = 64
+	// Augment clones the forest once per variant before labelling any of
+	// them, then runs one full sign-off per variant. The default is 2;
+	// 256 bounds both the clones held at once and the job's work.
+	maxAugment = 256
 )
 
 // Validate rejects malformed requests with a descriptive error. The ID
@@ -204,6 +212,12 @@ func (r *JobRequest) Validate() error {
 	}
 	if r.Epochs > maxEpochs || r.Iters > maxIters {
 		return fmt.Errorf("serve: job %s exceeds the per-job work bounds (epochs %d, iters %d)", r.ID, r.Epochs, r.Iters)
+	}
+	if r.Lanes > maxLanes {
+		return fmt.Errorf("serve: job %s asks for %d lanes (max %d)", r.ID, r.Lanes, maxLanes)
+	}
+	if r.AugmentVariants > maxAugment {
+		return fmt.Errorf("serve: job %s asks for %d augment variants (max %d)", r.ID, r.AugmentVariants, maxAugment)
 	}
 	if r.Shards > maxShards {
 		return fmt.Errorf("serve: job %s asks for %d shards (max %d)", r.ID, r.Shards, maxShards)

@@ -528,14 +528,16 @@ func TestServeJobValidation(t *testing.T) {
 		return rec
 	}
 	for name, body := range map[string]string{
-		"garbage":     "{not json",
-		"no id":       `{"Kind":"signoff","Design":{}}`,
-		"dotdot id":   `{"ID":"..","Kind":"signoff","Design":{}}`,
-		"slash id":    `{"ID":"a/b","Kind":"signoff","Design":{}}`,
-		"bad kind":    `{"ID":"x","Kind":"nope","Design":{}}`,
-		"no design":   `{"ID":"x","Kind":"signoff"}`,
-		"design file": `{"ID":"x","Kind":"signoff","Design":{},"DesignFile":"/etc/passwd"}`,
-		"huge epochs": `{"ID":"x","Kind":"signoff","Design":{},"Epochs":99999999}`,
+		"garbage":      "{not json",
+		"no id":        `{"Kind":"signoff","Design":{}}`,
+		"dotdot id":    `{"ID":"..","Kind":"signoff","Design":{}}`,
+		"slash id":     `{"ID":"a/b","Kind":"signoff","Design":{}}`,
+		"bad kind":     `{"ID":"x","Kind":"nope","Design":{}}`,
+		"no design":    `{"ID":"x","Kind":"signoff"}`,
+		"design file":  `{"ID":"x","Kind":"signoff","Design":{},"DesignFile":"/etc/passwd"}`,
+		"huge epochs":  `{"ID":"x","Kind":"signoff","Design":{},"Epochs":99999999}`,
+		"huge lanes":   `{"ID":"lanes","Kind":"refine","Design":{},"Lanes":16777216}`,
+		"huge augment": `{"ID":"augment","Kind":"refine","Design":{},"AugmentVariants":1048576}`,
 	} {
 		if rec := post(body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, rec.Code)

@@ -105,20 +105,18 @@ func Refine(p *flow.Prepared, opt Options) (*Result, error) {
 		// Round-start snapshot: candidate selection and proposals both
 		// read only (cont, T, step); nothing below mutates them until
 		// the round's verdict.
-		region, boundary := strips(cont, d.Die.XLo, d.Die.XHi)
-		cands := selectCandidates(d, cont, T, opt, boundary, round)
+		cands := selectCandidates(d, cont, T, opt)
 		if len(cands) == 0 {
 			break
 		}
 
-		// Proposal fan-out: candidates grouped by partition strip, one
-		// group per shard, groups in parallel. Per-net proposals are
-		// pure, so the grouping is invisible in the output — the move
-		// list is sorted into canonical (tree, node) order regardless.
+		// Proposal fan-out: candidates dealt round-robin, one group per
+		// shard, groups in parallel. Per-net proposals are pure, so the
+		// grouping is invisible in the output — the move list is sorted
+		// into canonical (tree, node) order regardless.
 		groups := make([][]candidate, opt.Shards)
-		for _, c := range cands {
-			gi := region[c.net] % opt.Shards
-			groups[gi] = append(groups[gi], c)
+		for i, c := range cands {
+			groups[i%opt.Shards] = append(groups[i%opt.Shards], c)
 		}
 		moveGroups, err := par.Map(opt.Workers, groups, func(_ int, grp []candidate) ([]move, error) {
 			var out []move

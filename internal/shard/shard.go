@@ -1,7 +1,7 @@
-// Package shard is the scaled-design refinement engine: spatially
-// sharded, timing-driven Steiner refinement whose result is byte-
-// identical for every shard count and worker count — and to an
-// unsharded full-route/full-STA reference — by construction.
+// Package shard is the scaled-design refinement engine: sharded,
+// timing-driven Steiner refinement whose result is byte-identical for
+// every shard count and worker count — and to an unsharded
+// full-route/full-STA reference — by construction.
 //
 // The determinism argument has three legs:
 //
@@ -10,10 +10,10 @@
 //     STA result, so grouping candidates into shards (and running the
 //     groups through internal/par) changes wall clock only, never a
 //     coordinate. The flattened move list is sorted before application.
-//  2. The spatial partition is fixed. Boundary classification uses a
-//     constant strip grid over the die, independent of Options.Shards,
-//     so boundary policies select the same candidate sets at every
-//     shard count.
+//  2. Candidate selection ignores the shard count. Every round refines
+//     the same most-critical nets, dealt to shards round-robin in
+//     criticality order; Options.Shards only decides which goroutine
+//     proposes which net.
 //  3. Evaluation is exact. Static-pattern incremental routing replays
 //     byte-identically to a from-scratch route, per-net RC extraction
 //     is bitwise the full extraction, and windowed re-timing is bitwise
@@ -29,30 +29,6 @@ import (
 	"tsteiner/internal/rsmt"
 	"tsteiner/internal/sta"
 )
-
-// BoundaryPolicy selects how nets whose trees span multiple partition
-// strips participate in refinement.
-type BoundaryPolicy int
-
-const (
-	// Owner refines every candidate net every round (a boundary net is
-	// owned by the strip holding its bounding-box center). Safe here
-	// because application is globally serialized after the parallel
-	// proposal phase.
-	Owner BoundaryPolicy = iota
-	// Freeze never moves boundary nets.
-	Freeze
-	// Alternate refines interior nets on even rounds and boundary nets
-	// on odd rounds, so the two classes never move in the same round.
-	Alternate
-)
-
-// partitionStrips is the fixed vertical strip count of the spatial
-// partition. Deliberately a constant rather than Options.Shards: the
-// partition decides boundary-ness (and therefore candidate sets under
-// Freeze/Alternate), which must not depend on how many shards execute
-// the round.
-const partitionStrips = 16
 
 // Options configures a sharded refinement run.
 type Options struct {
@@ -73,8 +49,6 @@ type Options struct {
 	StepFrac float64
 	// SlackThreshold admits nets whose worst sink slack is below it.
 	SlackThreshold float64
-	// Boundary selects the cross-strip net policy.
-	Boundary BoundaryPolicy
 	// Corners enables multi-corner sign-off: STA runs at every listed
 	// corner, the round verdict compares worst-corner WNS then
 	// corner-summed TNS, and an accepted round is vetoed if it raises
@@ -98,7 +72,6 @@ func DefaultOptions() Options {
 		MaxMovesPerRound: 32,
 		StepFrac:         0.35,
 		SlackThreshold:   0.05,
-		Boundary:         Owner,
 	}
 }
 
@@ -161,64 +134,14 @@ type move struct {
 	x, y       float64
 }
 
-// strips computes, per net, the partition strip of the tree's
-// bounding-box center and whether the tree spans more than one strip.
-// Pure geometry over the round-start forest.
-func strips(f *rsmt.Forest, xlo, xhi int) (region []int, boundary []bool) {
-	region = make([]int, len(f.Trees))
-	boundary = make([]bool, len(f.Trees))
-	w := float64(xhi - xlo)
-	if w <= 0 {
-		return region, boundary
-	}
-	stripOf := func(x float64) int {
-		s := int((x - float64(xlo)) / w * partitionStrips)
-		if s < 0 {
-			s = 0
-		}
-		if s >= partitionStrips {
-			s = partitionStrips - 1
-		}
-		return s
-	}
-	for ti, tr := range f.Trees {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for ni := range tr.Nodes {
-			x := tr.Nodes[ni].Pos.X
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		if len(tr.Nodes) == 0 {
-			continue
-		}
-		region[ti] = stripOf((lo + hi) / 2)
-		boundary[ti] = stripOf(lo) != stripOf(hi)
-	}
-	return region, boundary
-}
-
 // selectCandidates builds the round's capped, most-critical-first
 // candidate list from the round-start STA result. Deterministic:
 // sorted by (slack, net ID), never by map order.
-func selectCandidates(d *netlist.Design, f *rsmt.Forest, T *sta.Result, opt Options, boundary []bool, round int) []candidate {
+func selectCandidates(d *netlist.Design, f *rsmt.Forest, T *sta.Result, opt Options) []candidate {
 	var cands []candidate
 	for ti, tr := range f.Trees {
 		if tr.SteinerCount() == 0 {
 			continue
-		}
-		switch opt.Boundary {
-		case Freeze:
-			if boundary[ti] {
-				continue
-			}
-		case Alternate:
-			if boundary[ti] != (round%2 == 1) {
-				continue
-			}
 		}
 		worst := math.Inf(1)
 		for ni := range tr.Nodes {

@@ -126,31 +126,6 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardBoundaryPoliciesDeterministic: Freeze and Alternate must be
-// shard-invariant too (their candidate sets come from the fixed strip
-// partition, not from Options.Shards).
-func TestShardBoundaryPoliciesDeterministic(t *testing.T) {
-	p := prepScaled(t, 2)
-	for _, policy := range []BoundaryPolicy{Freeze, Alternate} {
-		var want fingerprint
-		for i, shards := range []int{1, 4} {
-			opt := testOptions()
-			opt.Shards = shards
-			opt.Workers = 2
-			opt.Boundary = policy
-			got, err := Refine(p, opt)
-			if err != nil {
-				t.Fatalf("policy=%d shards=%d: %v", policy, shards, err)
-			}
-			if i == 0 {
-				want = fp(got)
-			} else if g := fp(got); g != want {
-				t.Fatalf("policy=%d shards=%d diverged:\n got %+v\nwant %+v", policy, shards, g, want)
-			}
-		}
-	}
-}
-
 // TestShardNeverRegresses: the global accept rule only ever keeps a
 // round that holds or improves (WNS, TNS) lexicographically, so the
 // final metrics can never be worse than the initial ones.

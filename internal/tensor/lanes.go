@@ -10,15 +10,6 @@ import "fmt"
 // gradients — are bit-identical to running the unbatched op on lane k's
 // block alone.
 
-// ZerosLanes returns a zeroed non-differentiable lanes×rows×cols tensor
-// on the tape, drawn from the tape's workspace when present.
-func (tp *Tape) ZerosLanes(lanes, rows, cols int) (*Tensor, error) {
-	if lanes < 1 {
-		return nil, fmt.Errorf("tensor: ZerosLanes needs lanes >= 1, got %d", lanes)
-	}
-	return tp.resultL(lanes, rows, cols, false), nil
-}
-
 // CopyInLanes copies data (lane-major, lanes×rows×cols values) into a
 // tape-owned batched tensor — the lane-axis analogue of CopyIn. Mark it
 // differentiable with Leaf to use it as a per-candidate input.

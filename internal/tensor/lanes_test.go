@@ -377,16 +377,6 @@ func TestSliceLaneValues(t *testing.T) {
 	if _, err := tp.CopyInLanes(0, 2, 1, nil); err == nil {
 		t.Fatal("zero-lane CopyInLanes accepted")
 	}
-	if _, err := tp.ZerosLanes(0, 1, 1); err == nil {
-		t.Fatal("zero-lane ZerosLanes accepted")
-	}
-	z, err := tp.ZerosLanes(3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Len() != 6 || z.LaneCount() != 3 {
-		t.Fatalf("ZerosLanes len=%d lanes=%d", z.Len(), z.LaneCount())
-	}
 }
 
 // TestLaneMismatchRejected pins the broadcast rule: differing lane counts

@@ -2,6 +2,7 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -25,26 +26,18 @@ func sameParams(t *testing.T, a, b *gnn.Model, label string) {
 
 // TestTrainResumeByteIdentical: interrupt training after a prefix of
 // epochs (checkpointing each), resume to the full epoch count, and require
-// the final parameters to match an uninterrupted run exactly — in the
-// sequential mode and in the accumulation mode at 1 and 4 workers.
+// the final parameters to match an uninterrupted run exactly, at 1 and 4
+// workers.
 func TestTrainResumeByteIdentical(t *testing.T) {
 	s := sample(t, "spm", 1.0, true)
 	const epochs = 10
-	modes := []struct {
-		name       string
-		accumulate bool
-		workers    int
-	}{
-		{"sequential", false, 1},
-		{"accumulate-w1", true, 1},
-		{"accumulate-w4", true, 4},
-	}
-	for _, mode := range modes {
-		base := Options{Epochs: epochs, LR: 1e-2, Seed: 1, Accumulate: mode.accumulate, Workers: mode.workers}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		base := Options{Epochs: epochs, LR: 1e-2, Seed: 1, Workers: workers}
 		clean := gnn.NewModel(gnn.DefaultConfig(), 5)
 		cleanLoss, err := Train(clean, []*Sample{s}, base)
 		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		for _, cut := range []int{1, epochs / 2, epochs - 1} {
 			path := filepath.Join(t.TempDir(), "train.ckpt")
@@ -53,7 +46,7 @@ func TestTrainResumeByteIdentical(t *testing.T) {
 			iopt.Epochs = cut
 			iopt.CheckpointPath = path
 			if _, err := Train(m, []*Sample{s}, iopt); err != nil {
-				t.Fatalf("%s cut %d: %v", mode.name, cut, err)
+				t.Fatalf("%s cut %d: %v", name, cut, err)
 			}
 			// Resume into a FRESH model: everything must come from the
 			// checkpoint, nothing from the interrupted process's memory.
@@ -63,12 +56,12 @@ func TestTrainResumeByteIdentical(t *testing.T) {
 			ropt.Resume = true
 			resLoss, err := Train(m2, []*Sample{s}, ropt)
 			if err != nil {
-				t.Fatalf("%s resume after %d: %v", mode.name, cut, err)
+				t.Fatalf("%s resume after %d: %v", name, cut, err)
 			}
 			if resLoss != cleanLoss {
-				t.Fatalf("%s resume after %d: final loss %g vs clean %g", mode.name, cut, resLoss, cleanLoss)
+				t.Fatalf("%s resume after %d: final loss %g vs clean %g", name, cut, resLoss, cleanLoss)
 			}
-			sameParams(t, clean, m2, mode.name)
+			sameParams(t, clean, m2, name)
 		}
 	}
 }
@@ -84,20 +77,17 @@ func TestTrainNaNGuardRefusesPoisonedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, accumulate := range []bool{false, true} {
-		inj := fault.New(11)
-		inj.Arm("train.nan", healthySteps+1)
-		m := gnn.NewModel(gnn.DefaultConfig(), 5)
-		_, err := Train(m, []*Sample{s}, Options{Epochs: 50, LR: 1e-2, Seed: 1, Accumulate: accumulate, Fault: inj})
-		var ne *guard.NumericError
-		if !errors.As(err, &ne) {
-			t.Fatalf("accumulate=%v: got %v, want *guard.NumericError", accumulate, err)
-		}
-		// One sample per epoch step in both modes, so after 4 healthy
-		// steps the poisoned 5th must leave params at the clean 4-step
-		// state.
-		sameParams(t, clean, m, "refused step")
+	inj := fault.New(11)
+	inj.Arm("train.nan", healthySteps+1)
+	m := gnn.NewModel(gnn.DefaultConfig(), 5)
+	_, err := Train(m, []*Sample{s}, Options{Epochs: 50, LR: 1e-2, Seed: 1, Fault: inj})
+	var ne *guard.NumericError
+	if !errors.As(err, &ne) {
+		t.Fatalf("got %v, want *guard.NumericError", err)
 	}
+	// One sample, one step per epoch: after 4 healthy steps the poisoned
+	// 5th must leave params at the clean 4-step state.
+	sameParams(t, clean, m, "refused step")
 }
 
 // TestTrainBudgetStopsAtEpochBoundary: an already-expired wall budget runs

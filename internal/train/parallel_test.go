@@ -3,8 +3,6 @@ package train
 import (
 	"reflect"
 	"testing"
-
-	"tsteiner/internal/gnn"
 )
 
 // Augment must produce byte-identical variants (geometry and sign-off
@@ -32,52 +30,5 @@ func TestAugmentWorkerCountInvariant(t *testing.T) {
 		if !reflect.DeepEqual(serial[k].Labels, parallel[k].Labels) {
 			t.Fatalf("variant %d labels differ between worker counts", k)
 		}
-	}
-}
-
-// The gradient-accumulation training mode must land on byte-identical
-// parameters for every worker count: the reduction order is the epoch
-// permutation, not task completion order.
-func TestAccumulateTrainWorkerCountInvariant(t *testing.T) {
-	s := sample(t, "spm", 1.0, true)
-	aug, err := Augment(s, 2, 10, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := append([]*Sample{s}, aug...)
-
-	trained := func(workers int) *gnn.Model {
-		m := gnn.NewModel(gnn.DefaultConfig(), 5)
-		opt := Options{Epochs: 8, LR: 1e-2, Seed: 1, Accumulate: true, Workers: workers}
-		if _, err := Train(m, samples, opt); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	serial, parallel := trained(1), trained(4)
-	sp, pp := serial.Params(), parallel.Params()
-	for i := range sp {
-		for j := range sp[i].Data {
-			if sp[i].Data[j] != pp[i].Data[j] {
-				t.Fatalf("param %d element %d differs: %g vs %g",
-					i, j, sp[i].Data[j], pp[i].Data[j])
-			}
-		}
-	}
-}
-
-// The accumulation mode is a different trajectory but must still learn.
-func TestAccumulateTrainReducesLoss(t *testing.T) {
-	s := sample(t, "spm", 1.0, true)
-	m := gnn.NewModel(gnn.DefaultConfig(), 5)
-	var losses []float64
-	opt := Options{Epochs: 60, LR: 1e-2, Seed: 1, Accumulate: true, Workers: 2,
-		Verbose: func(_ int, l float64) { losses = append(losses, l) }}
-	final, err := Train(m, []*Sample{s}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final >= losses[0] {
-		t.Fatalf("accumulate training did not reduce loss: %g -> %g", losses[0], final)
 	}
 }

@@ -104,30 +104,9 @@ type Options struct {
 	Epochs int
 	LR     float64 // paper: 5e-4
 	Seed   int64
-	// Workers bounds the goroutines used for parallel stages
-	// (0 = GOMAXPROCS, 1 = serial). Training results never depend on
-	// Workers: the sequential mode ignores it, and the accumulation mode
-	// reduces per-sample gradients in a fixed order.
+	// Workers has no effect on Train: its Adam trajectory is sequential,
+	// each step depending on the previous step's parameters.
 	Workers int
-	// Accumulate switches from the sequential per-sample Adam trajectory
-	// (the historical default, inherently serial because each step depends
-	// on the previous parameters) to per-epoch gradient accumulation: all
-	// per-sample gradients are computed in parallel against the same
-	// parameters, summed in a fixed sample order, and applied as one Adam
-	// step per epoch. A different (batch-style) trajectory, but one whose
-	// result is byte-identical for every worker count.
-	Accumulate bool
-	// BatchedAccumulate (with Accumulate) fuses the per-sample forwards of
-	// samples sharing a graph batch — Augment variants reuse the base
-	// sample's batch — into one K-lane ForwardBatch per group, amortizing
-	// the batch's structure tables, tape recording and op dispatch across
-	// the group. The parameters join the fused tape as unbatched leaves,
-	// so Backward hands each group's gradient back pre-summed over its
-	// lanes; groups are then reduced in the permutation's first-seen
-	// order. Yet another trajectory (group sums associate differently
-	// than per-sample sums), but byte-identical for every worker count
-	// (TestBatchedAccumulateWorkerCountInvariant is the gate).
-	BatchedAccumulate bool
 	// Verbose receives per-epoch losses when non-nil.
 	Verbose func(epoch int, loss float64)
 	// Obs receives the training span, per-epoch loss/grad-norm events and
@@ -137,14 +116,13 @@ type Options struct {
 
 	// CheckpointPath, when non-empty, writes an atomic CRC-checksummed
 	// snapshot of the trainer state (model parameters, Adam moments,
-	// completed epochs) every CheckpointEvery epochs (default 1). With
-	// Resume set, a valid checkpoint at that path is restored and training
-	// continues from it — byte-identical to an uninterrupted run, because
-	// the epoch-permutation RNG is fast-forwarded past the completed
-	// epochs. A corrupt checkpoint is a *guard.CorruptError.
-	CheckpointPath  string
-	CheckpointEvery int
-	Resume          bool
+	// completed epochs) after every epoch. With Resume set, a valid
+	// checkpoint at that path is restored and training continues from it
+	// — byte-identical to an uninterrupted run, because the
+	// epoch-permutation RNG is fast-forwarded past the completed epochs.
+	// A corrupt checkpoint is a *guard.CorruptError.
+	CheckpointPath string
+	Resume         bool
 
 	// Budget bounds training by wall clock, checked at epoch boundaries:
 	// on expiry the loop stops cleanly with the parameters of the last
@@ -152,7 +130,7 @@ type Options struct {
 	Budget *guard.Budget
 
 	// Fault is the deterministic fault injector (nil in production). The
-	// "train.nan" site poisons one Adam step's reduced gradient, which the
+	// "train.nan" site poisons one Adam step's gradient, which the
 	// finite-gradient guard must then refuse as a *guard.NumericError
 	// without touching the parameters.
 	Fault *fault.Injector
@@ -183,10 +161,6 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 	span := opt.Obs.Start("train.train")
 	defer span.End()
 	opt.Budget.Start()
-	every := opt.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
 	startEp := 0
 	last := 0.0
 	if opt.Resume && opt.CheckpointPath != "" {
@@ -221,18 +195,10 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 	// read-only arithmetic over already-computed gradients, so enabling
 	// telemetry never changes the Adam trajectory.
 	wantGradSq := opt.Obs.Enabled()
-	// Pooled evaluation state, reused across epochs: the sequential
-	// trajectory keeps one tensor workspace; the accumulation mode keeps
-	// a pool of (clone, workspace) pairs plus per-slot gradient buffers.
-	// Buffer reuse never changes results — workspace purity makes every
-	// gradient a function of (parameters, sample) alone.
-	var ws *tensor.Workspace
-	var pool *accumPool
-	if opt.Accumulate {
-		pool = newAccumPool(m, len(trainSet))
-	} else {
-		ws = tensor.NewWorkspace()
-	}
+	// One tensor workspace, reused across steps. Buffer reuse never
+	// changes results — workspace purity makes every gradient a function
+	// of (parameters, sample) alone.
+	ws := tensor.NewWorkspace()
 	for ep := startEp; ep < opt.Epochs; ep++ {
 		if reason, over := opt.Budget.ExceededWall(); over {
 			opt.Obs.Add("train.budget_cutoffs", 1)
@@ -242,27 +208,14 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 		epT0 := time.Now()
 		order := rng.Perm(len(trainSet))
 		epochLoss, epochGradSq := 0.0, 0.0
-		if opt.Accumulate {
-			accum := accumulateStep
-			if opt.BatchedAccumulate {
-				accum = accumulateStepBatched
-			}
-			loss, gradSq, err := accum(m, adam, trainSet, order, opt.Workers, wantGradSq, opt.Fault, pool)
+		for _, si := range order {
+			s := trainSet[si]
+			loss, gradSq, err := step(m, adam, s, ws, wantGradSq, opt.Fault)
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("train: %s: %w", s.Name, err)
 			}
-			epochLoss = loss * float64(len(trainSet))
-			epochGradSq = gradSq
-		} else {
-			for _, si := range order {
-				s := trainSet[si]
-				loss, gradSq, err := step(m, adam, s, ws, wantGradSq, opt.Fault)
-				if err != nil {
-					return 0, fmt.Errorf("train: %s: %w", s.Name, err)
-				}
-				epochLoss += loss
-				epochGradSq += gradSq
-			}
+			epochLoss += loss
+			epochGradSq += gradSq
 		}
 		last = epochLoss / float64(len(trainSet))
 		epochMS := float64(time.Since(epT0)) / float64(time.Millisecond)
@@ -275,7 +228,7 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 		if opt.Verbose != nil {
 			opt.Verbose(ep, last)
 		}
-		if opt.CheckpointPath != "" && (ep+1)%every == 0 {
+		if opt.CheckpointPath != "" {
 			st := &trainState{Epoch: ep + 1, Params: m.SnapshotParams(), Adam: adam.Snapshot(), Last: last}
 			if err := guard.WriteCheckpoint(opt.CheckpointPath, st, opt.Fault); err != nil {
 				return 0, err
@@ -312,248 +265,6 @@ func guardGrads(params []*tensor.Tensor, inj *fault.Injector) error {
 	return nil
 }
 
-// evalScratch is one worker's reusable evaluation state: a model clone
-// (tapes attach to parameter tensors, so clones are never shared) and a
-// tensor workspace.
-type evalScratch struct {
-	clone *gnn.Model
-	ws    *tensor.Workspace
-}
-
-// accumPool recycles evalScratch pairs and per-slot gradient buffers
-// across accumulation epochs. The free list is a non-blocking buffered
-// channel: a worker that finds it empty builds fresh scratch, so pool
-// contention can change how many clones exist but never what any of them
-// computes.
-type accumPool struct {
-	free chan *evalScratch
-	// gradBufs[k] holds slot k's per-parameter gradient copies; slot k
-	// is owned exclusively by the task at position k of the epoch's
-	// permutation, then read by the fixed-order reduction.
-	gradBufs [][][]float64
-}
-
-func newAccumPool(m *gnn.Model, nSlots int) *accumPool {
-	p := &accumPool{free: make(chan *evalScratch, 16)}
-	params := m.Params()
-	p.gradBufs = make([][][]float64, nSlots)
-	for k := range p.gradBufs {
-		bufs := make([][]float64, len(params))
-		for pi, pr := range params {
-			bufs[pi] = make([]float64, pr.Len())
-		}
-		p.gradBufs[k] = bufs
-	}
-	return p
-}
-
-// get returns scratch whose clone carries m's current parameters and
-// zeroed gradients.
-func (p *accumPool) get(m *gnn.Model) *evalScratch {
-	select {
-	case sc := <-p.free:
-		sc.clone.SyncParamsFrom(m)
-		for _, pr := range sc.clone.Params() {
-			pr.ZeroGrad()
-		}
-		return sc
-	default:
-		return &evalScratch{clone: m.Clone(), ws: tensor.NewWorkspace()}
-	}
-}
-
-func (p *accumPool) put(sc *evalScratch) {
-	select {
-	case p.free <- sc:
-	default:
-	}
-}
-
-// accumulateStep computes every sample's gradient in parallel against the
-// current parameters (each task on its own model clone, so tapes and
-// gradient buffers are never shared), reduces the gradients in the fixed
-// permutation order, and applies one Adam step. The reduction order — not
-// task completion order — defines the floating-point sum, so the updated
-// parameters are byte-identical for every worker count. When wantGradSq is
-// set, the squared L2 norm of the reduced gradient is returned for
-// telemetry (read-only; computed after the reduction, before the step).
-func accumulateStep(m *gnn.Model, adam *tensor.Adam, trainSet []*Sample, order []int, workers int, wantGradSq bool, inj *fault.Injector, pool *accumPool) (float64, float64, error) {
-	outs, err := par.Map(workers, order, func(k int, si int) (float64, error) {
-		s := trainSet[si]
-		sc := pool.get(m)
-		loss, err := sampleGradInto(sc.ws.Tape(), sc.clone, s, pool.gradBufs[k])
-		pool.put(sc)
-		if err != nil {
-			return 0, fmt.Errorf("train: %s: %w", s.Name, err)
-		}
-		return loss, nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	adam.ZeroGrad()
-	params := m.Params()
-	total := 0.0
-	for k := range outs { // fixed order: the epoch permutation
-		total += outs[k]
-		for pi, g := range pool.gradBufs[k] {
-			p := params[pi]
-			if p.Grad == nil {
-				p.Grad = make([]float64, p.Len())
-			}
-			for j, v := range g {
-				p.Grad[j] += v
-			}
-		}
-	}
-	if err := guardGrads(params, inj); err != nil {
-		return 0, 0, err
-	}
-	gradSq := 0.0
-	if wantGradSq {
-		gradSq = paramGradSq(params)
-	}
-	adam.Step()
-	return total / float64(len(order)), gradSq, nil
-}
-
-// batchGroup is one fused task of the batched accumulation mode: the
-// samples (by train-set index, in permutation order) that share one graph
-// batch, evaluated as lanes of a single forward.
-type batchGroup struct {
-	batch *gnn.Batch
-	sis   []int
-}
-
-// groupByBatch partitions the epoch's permuted samples by shared
-// *gnn.Batch, preserving the permutation's first-seen order — a
-// deterministic function of the permutation alone, independent of
-// workers (the map is lookup-only; group order comes from the slice).
-func groupByBatch(trainSet []*Sample, order []int) []*batchGroup {
-	var groups []*batchGroup
-	byBatch := map[*gnn.Batch]*batchGroup{}
-	for _, si := range order {
-		b := trainSet[si].Batch
-		g := byBatch[b]
-		if g == nil {
-			g = &batchGroup{batch: b}
-			byBatch[b] = g
-			groups = append(groups, g)
-		}
-		g.sis = append(g.sis, si)
-	}
-	return groups
-}
-
-// accumulateStepBatched is accumulateStep with one fused K-lane
-// forward/backward per group of samples sharing a graph batch, instead of
-// one forward per sample. Each group's gradient comes back pre-summed
-// over its lanes (the parameters are unbatched leaves on the fused tape,
-// so Backward accumulates the lanes in fixed lane order), and the
-// cross-group reduction follows the permutation's first-seen group order
-// — byte-identical at every worker count.
-func accumulateStepBatched(m *gnn.Model, adam *tensor.Adam, trainSet []*Sample, order []int, workers int, wantGradSq bool, inj *fault.Injector, pool *accumPool) (float64, float64, error) {
-	groups := groupByBatch(trainSet, order)
-	outs, err := par.Map(workers, groups, func(k int, g *batchGroup) (float64, error) {
-		sc := pool.get(m)
-		loss, err := groupGradInto(sc.ws.Tape(), sc.clone, trainSet, g, pool.gradBufs[k])
-		pool.put(sc)
-		if err != nil {
-			return 0, err
-		}
-		return loss, nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	adam.ZeroGrad()
-	params := m.Params()
-	total := 0.0
-	for k := range outs { // fixed order: first-seen group order
-		total += outs[k]
-		for pi, g := range pool.gradBufs[k] {
-			p := params[pi]
-			if p.Grad == nil {
-				p.Grad = make([]float64, p.Len())
-			}
-			for j, v := range g {
-				p.Grad[j] += v
-			}
-		}
-	}
-	if err := guardGrads(params, inj); err != nil {
-		return 0, 0, err
-	}
-	gradSq := 0.0
-	if wantGradSq {
-		gradSq = paramGradSq(params)
-	}
-	adam.Step()
-	return total / float64(len(order)), gradSq, nil
-}
-
-// groupGradInto runs one fused forward/backward over a group's samples —
-// lane k carries sample k's Steiner coordinates and labels — and copies
-// the group-summed per-parameter gradients into dst. Returns the sum of
-// the group's per-sample MSE losses.
-func groupGradInto(tp *tensor.Tape, m *gnn.Model, trainSet []*Sample, g *batchGroup, dst [][]float64) (float64, error) {
-	lanes := len(g.sis)
-	b := g.batch
-	n := b.NSteiner
-	nl := len(trainSet[g.sis[0]].Labels)
-	cx := make([]float64, lanes*n)
-	cy := make([]float64, lanes*n)
-	labels := make([]float64, lanes*nl)
-	for k, si := range g.sis {
-		s := trainSet[si]
-		if len(s.Labels) != nl {
-			return 0, fmt.Errorf("train: %s: %d labels in a group expecting %d", s.Name, len(s.Labels), nl)
-		}
-		if err := b.FillSteinerCoords(s.Forest, cx[k*n:(k+1)*n], cy[k*n:(k+1)*n]); err != nil {
-			return 0, fmt.Errorf("train: %s: %w", s.Name, err)
-		}
-		copy(labels[k*nl:(k+1)*nl], s.Labels)
-	}
-	bp, err := m.ForwardBatch(tp, b, lanes, cx, cy, true)
-	if err != nil {
-		return 0, err
-	}
-	lab, err := tp.CopyInLanes(lanes, nl, 1, labels)
-	if err != nil {
-		return 0, err
-	}
-	diff, err := tp.Sub(bp.Arrival, lab)
-	if err != nil {
-		return 0, err
-	}
-	sq, err := tp.Mul(diff, diff)
-	if err != nil {
-		return 0, err
-	}
-	sum, err := tp.Sum(sq) // per-lane 1×1: each lane's squared-error sum
-	if err != nil {
-		return 0, err
-	}
-	perLane, err := tp.Scale(sum, 1/float64(nl))
-	if err != nil {
-		return 0, err
-	}
-	if err := tensor.CheckFinite(perLane); err != nil {
-		return 0, err
-	}
-	loss, err := tp.SumLanes(perLane)
-	if err != nil {
-		return 0, err
-	}
-	if err := tp.Backward(loss); err != nil {
-		return 0, err
-	}
-	for i, p := range m.Params() {
-		copy(dst[i], p.Grad)
-	}
-	return loss.Data[0], nil
-}
-
 // paramGradSq sums the squared gradient entries across parameters.
 func paramGradSq(params []*tensor.Tensor) float64 {
 	sq := 0.0
@@ -563,24 +274,6 @@ func paramGradSq(params []*tensor.Tensor) float64 {
 		}
 	}
 	return sq
-}
-
-// sampleGradInto runs one forward/backward on a sample and copies the
-// per-parameter gradients (in Params() order) into dst — copies, because
-// the model clone and its gradient buffers are recycled across tasks
-// while dst survives until the epoch's reduction.
-func sampleGradInto(tp *tensor.Tape, m *gnn.Model, s *Sample, dst [][]float64) (float64, error) {
-	loss, err := sampleLoss(tp, m, s)
-	if err != nil {
-		return 0, err
-	}
-	if err := tp.Backward(loss); err != nil {
-		return 0, err
-	}
-	for i, p := range m.Params() {
-		copy(dst[i], p.Grad)
-	}
-	return loss.Data[0], nil
 }
 
 // sampleLoss builds the per-pin arrival MSE loss for one sample on tp.

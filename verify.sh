@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # verify.sh — the contributor verification loop from CLAUDE.md:
-# build, vet, full tests, then the race-mode pass that gates the
-# concurrency layer (internal/par and the obs collectors), a 50-run
-# two-core repeat of the worker-pool tests, a race-mode
+# build, vet, a gofmt check, full tests, then the race-mode pass that
+# gates the concurrency layer (internal/par and the obs collectors), a
+# 50-run two-core repeat of the worker-pool tests, a race-mode
 # pass over the fault-tolerance suite (injected faults, checkpoint/
 # resume, panic containment), the property/differential-oracle gate,
 # the scaled-design gates (shard-count byte-identity under -race,
-# windowed-STA oracle, streaming loader, and the BENCH_scale.json
+# windowed-STA oracle, and the BENCH_scale.json
 # sub-linearity re-measurement), the multi-corner sign-off gates
 # (per-corner fixpoint oracle, corner properties, and the multi-corner
 # shard determinism matrix under -race), a
@@ -23,6 +23,7 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 go test ./...
 go test -race -short ./...
 go test -race -run 'Fault|Resume|Panic' ./...
@@ -53,11 +54,11 @@ go test -run 'Corner|MultiCorner' ./...
 go test -race -run 'MultiCornerDeterminism|PropCornerMonotone|CornerTypical' ./internal/shard ./internal/sta
 
 # Scaled-design gates: the shard-count/worker-count byte-identity matrix
-# (incremental path vs the full-pipeline Reference), the windowed-STA
-# oracle, and the streaming-loader equivalence tests — then the
-# determinism matrix again under the race detector (the -short race pass
-# above runs it on a 3x design; this one is the full gate).
-go test -run 'Shard|Window|Stream' ./...
+# (incremental path vs the full-pipeline Reference) and the windowed-STA
+# oracle — then the determinism matrix again under the race detector
+# (the -short race pass above runs it on a 3x design; this one is the
+# full gate).
+go test -run 'Shard|Window' ./...
 go test -race -run 'ShardDeterminism' ./internal/shard
 
 # Scale-regression gate: re-measure the smallest and largest pinned
@@ -70,12 +71,12 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # Workspace determinism gates: pooled vs allocating evaluation must be
 # byte-identical (down to final Steiner coordinates) at any worker
 # count, and must replay the metrics recorded in BENCH_refine.json.
-# BatchReplay covers the batched paths: the fused multi-candidate
-# forward (refiner lanes, batched accumulation) against the sequential
-# reference, bench- and pipeline-level. DenseMatchesNaive holds the
+# BatchReplay covers the batched path: the fused multi-candidate
+# forward of the refiner's lanes against the sequential reference,
+# bench- and pipeline-level. DenseMatchesNaive holds the
 # register-blocked Linear/MatMul kernel bit for bit to the naive loops,
-# and TrainHashPinned holds all three training trajectories to recorded
-# model hashes (the replay pins above never see a weight gradient).
+# and TrainHashPinned holds the trainer to a recorded model hash (the
+# replay pins above never see a weight gradient).
 go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
@@ -146,7 +147,7 @@ fi
 # bounded minimization keeps single-core runs productive.
 go test -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime=5x ./internal/guard/
 go test -run '^$' -fuzz FuzzLoadDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
-go test -run '^$' -fuzz FuzzStreamDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
+go test -run '^$' -fuzz FuzzReadForestJSON -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime=5x ./internal/gnn/
 
 # Refresh the per-package coverage baseline.
