@@ -2,7 +2,6 @@ package train
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -26,43 +25,39 @@ func sameParams(t *testing.T, a, b *gnn.Model, label string) {
 
 // TestTrainResumeByteIdentical: interrupt training after a prefix of
 // epochs (checkpointing each), resume to the full epoch count, and require
-// the final parameters to match an uninterrupted run exactly, at 1 and 4
-// workers.
+// the final parameters to match an uninterrupted run exactly.
 func TestTrainResumeByteIdentical(t *testing.T) {
 	s := sample(t, "spm", 1.0, true)
 	const epochs = 10
-	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		base := Options{Epochs: epochs, LR: 1e-2, Seed: 1, Workers: workers}
-		clean := gnn.NewModel(gnn.DefaultConfig(), 5)
-		cleanLoss, err := Train(clean, []*Sample{s}, base)
+	base := Options{Epochs: epochs, LR: 1e-2, Seed: 1}
+	clean := gnn.NewModel(gnn.DefaultConfig(), 5)
+	cleanLoss, err := Train(clean, []*Sample{s}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{1, epochs / 2, epochs - 1} {
+		path := filepath.Join(t.TempDir(), "train.ckpt")
+		m := gnn.NewModel(gnn.DefaultConfig(), 5)
+		iopt := base
+		iopt.Epochs = cut
+		iopt.CheckpointPath = path
+		if _, err := Train(m, []*Sample{s}, iopt); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		// Resume into a FRESH model: everything must come from the
+		// checkpoint, nothing from the interrupted process's memory.
+		m2 := gnn.NewModel(gnn.DefaultConfig(), 5)
+		ropt := base
+		ropt.CheckpointPath = path
+		ropt.Resume = true
+		resLoss, err := Train(m2, []*Sample{s}, ropt)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("resume after %d: %v", cut, err)
 		}
-		for _, cut := range []int{1, epochs / 2, epochs - 1} {
-			path := filepath.Join(t.TempDir(), "train.ckpt")
-			m := gnn.NewModel(gnn.DefaultConfig(), 5)
-			iopt := base
-			iopt.Epochs = cut
-			iopt.CheckpointPath = path
-			if _, err := Train(m, []*Sample{s}, iopt); err != nil {
-				t.Fatalf("%s cut %d: %v", name, cut, err)
-			}
-			// Resume into a FRESH model: everything must come from the
-			// checkpoint, nothing from the interrupted process's memory.
-			m2 := gnn.NewModel(gnn.DefaultConfig(), 5)
-			ropt := base
-			ropt.CheckpointPath = path
-			ropt.Resume = true
-			resLoss, err := Train(m2, []*Sample{s}, ropt)
-			if err != nil {
-				t.Fatalf("%s resume after %d: %v", name, cut, err)
-			}
-			if resLoss != cleanLoss {
-				t.Fatalf("%s resume after %d: final loss %g vs clean %g", name, cut, resLoss, cleanLoss)
-			}
-			sameParams(t, clean, m2, name)
+		if resLoss != cleanLoss {
+			t.Fatalf("resume after %d: final loss %g vs clean %g", cut, resLoss, cleanLoss)
 		}
+		sameParams(t, clean, m2, "resume")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestTrainHashPinned pins the full training trajectory — forward values,
 // every parameter gradient (dW and dBias included) and the Adam updates —
-// to model hashes recorded before the dense kernels were rewritten. The
+// to a model hash recorded before the dense kernels were rewritten. The
 // refine replay pins cannot catch a drifting weight gradient, because
 // refinement attaches the parameters as constants; this test can. The
 // hash must not depend on Options.Workers either.
