@@ -33,7 +33,6 @@ import (
 	"tsteiner/internal/gnn"
 	"tsteiner/internal/guard"
 	"tsteiner/internal/lib"
-	"tsteiner/internal/netlist"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/report"
 	"tsteiner/internal/shard"
@@ -127,7 +126,7 @@ func main() {
 	cfg.Budget = budget
 	cfg.Corners = corners
 	var prepared *flow.Prepared
-	if *replace || !hasPlacement(d) {
+	if *replace || !flow.HasPlacement(d) {
 		prepared, err = flow.Prepare(d, l, cfg)
 	} else {
 		// Keep the file's placement: skip the placer by preparing with
@@ -283,18 +282,4 @@ func refineDesign(p *flow.Prepared, timing *sta.Result, baseline *flow.Report, e
 	}
 	log.Printf("refining Steiner points (N=%d)", ropt.N)
 	return ref.Refine()
-}
-
-// hasPlacement reports whether any cell carries a non-origin position.
-func hasPlacement(d *netlist.Design) bool {
-	if d.Die.Empty() || d.Die.Width() == 0 {
-		return false
-	}
-	for ci := range d.Cells {
-		p := d.Cells[ci].Pos
-		if p.X != 0 || p.Y != 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -63,8 +63,8 @@ func TestBatchedRefineMatchesSequential(t *testing.T) {
 }
 
 // TestCandidateLanesOnePreservesDefaultPath pins CandidateLanes ∈ {0, 1}
-// to the single-candidate algorithm: both must run the exact default
-// trajectory (no lane staging, no batched forward).
+// to the single-candidate algorithm: both run the lane path with K = 1
+// and must produce the same trajectory, always on lane 0.
 func TestCandidateLanesOnePreservesDefaultPath(t *testing.T) {
 	r, _ := fixture(t)
 	run := func(lanes int) *Result {

@@ -7,9 +7,11 @@
 // slack vector is the affine rescaling sta.Corner.CornerSlack derives
 // from the uniform derating (setup terms cancel exactly, slew coupling
 // is first-order), so the whole matrix costs two extra tensor ops per
-// corner and stays differentiable end to end. With Options.Corners
-// empty every path below collapses to the single-corner algorithm
-// byte-for-byte.
+// corner and stays differentiable end to end. NewRefiner turns empty
+// Options.Corners into the unit-weight typical corner, whose derating
+// and weighting are multiplications by exactly 1.0 — the IEEE-754
+// identity — so the single-corner algorithm is this same code, bit for
+// bit (TestRefineCornerTypicalOnlyByteIdentical pins it).
 package core
 
 import (
@@ -53,35 +55,26 @@ func CornerTermsFor(corners []sta.Corner) []CornerTerm {
 }
 
 // validateCornerTerms rejects terms that would corrupt the penalty:
-// invalid corners, duplicate names, non-finite or negative weights.
+// corners sta.ValidateCorners rejects, non-finite or negative weights.
 func validateCornerTerms(terms []CornerTerm) error {
-	seen := make(map[string]bool, len(terms))
-	for _, ct := range terms {
-		if err := ct.Corner.Validate(); err != nil {
-			return err
-		}
-		if seen[ct.Corner.Name] {
-			return fmt.Errorf("core: duplicate corner %q", ct.Corner.Name)
-		}
-		seen[ct.Corner.Name] = true
+	corners := make([]sta.Corner, len(terms))
+	for i, ct := range terms {
+		corners[i] = ct.Corner
 		if math.IsNaN(ct.Lambda) || math.IsInf(ct.Lambda, 0) || ct.Lambda < 0 {
 			return fmt.Errorf("core: corner %q weight %v not finite and non-negative", ct.Corner.Name, ct.Lambda)
 		}
 	}
-	return nil
+	return sta.ValidateCorners(corners)
 }
 
-// penaltyMatrixOn dispatches the penalty construction: single-corner
-// runs build exactly the original P_γ; multi-corner runs build
-// Σ_c λ_c·P_γ(slack_c) with each corner's slack derived on-tape by the
-// affine transform (Scale + AddScalar are lane-transparent, so the
-// batched candidate path keeps its per-lane bit-identity). The
-// "core.corner.nan" fault site poisons the first corner's derated
-// slack — and only that corner's — for the fault-matrix tests.
+// penaltyMatrixOn builds Σ_c λ_c·P_γ(slack_c) on the tape, each
+// corner's slack derived from the predicted typical slack by the affine
+// transform (Scale + AddScalar are lane-transparent, so the batched
+// candidate path keeps its per-lane bit-identity; the typical corner
+// skips them). The "core.corner.nan" fault site poisons the first
+// corner's derated slack — and only that corner's — for the
+// fault-matrix tests.
 func (r *Refiner) penaltyMatrixOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt float64) (*tensor.Tensor, error) {
-	if len(r.Opt.Corners) == 0 {
-		return r.penaltyOn(tp, slack, lw, lt)
-	}
 	clockPeriod := r.Prep.Design.ClockPeriod
 	var total *tensor.Tensor
 	for ci, ct := range r.Opt.Corners {
@@ -118,13 +111,10 @@ func (r *Refiner) penaltyMatrixOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt 
 }
 
 // metricsFromSlack produces the hard metrics Algorithm 1's accept rule
-// compares: plain (WNS, TNS) single-corner, or the matrix pair —
-// worst-corner WNS and corner-summed TNS — when Corners are set, so
-// the lexicographic accept optimizes the whole matrix at once.
+// compares: the matrix pair — worst-corner WNS and corner-summed TNS —
+// so the lexicographic accept optimizes the whole matrix at once. For
+// the lone typical corner this is plain (WNS, TNS).
 func (r *Refiner) metricsFromSlack(slack []float64) (wns, tns float64) {
-	if len(r.Opt.Corners) == 0 {
-		return hardMetrics(slack)
-	}
 	return matrixMetrics(slack, r.Opt.Corners, r.Prep.Design.ClockPeriod)
 }
 
@@ -158,12 +148,9 @@ func matrixMetrics(slack []float64, terms []CornerTerm, clockPeriod float64) (wn
 
 // holdCorner is the corner the hold guard checks: hold violations are
 // worst where delays are shortest, so it picks the minimum-DelayScale
-// configured corner (first on ties), or the fast preset when refining
-// single-corner.
+// configured corner (first on ties) — the typical corner when Corners
+// was left empty.
 func (r *Refiner) holdCorner() sta.Corner {
-	if len(r.Opt.Corners) == 0 {
-		return sta.FastCorner()
-	}
 	best := r.Opt.Corners[0].Corner
 	for _, ct := range r.Opt.Corners[1:] {
 		if ct.Corner.DelayScale < best.DelayScale {

@@ -8,28 +8,37 @@ import (
 	"tsteiner/internal/sta"
 )
 
-// TestMatrixMetrics pins the matrix accept pair against a hand
-// computation: worst-corner WNS and corner-summed TNS under the affine
-// corner-slack transform.
+// TestMatrixMetrics pins the matrix accept pair against hand
+// computations: worst-corner WNS and corner-summed TNS under the affine
+// corner-slack transform. The typical-only rows are the single-corner
+// metrics every refiner without Corners compares: plain (WNS, TNS).
 func TestMatrixMetrics(t *testing.T) {
-	terms := []CornerTerm{
+	typical := []CornerTerm{{Corner: sta.TypicalCorner(), Lambda: 1}}
+	twoCorners := []CornerTerm{
 		{Corner: sta.TypicalCorner(), Lambda: 1},
 		{Corner: sta.Corner{Name: "slow2x", DelayScale: 2, SlewScale: 1, ClockScale: 1}, Lambda: 1},
 	}
-	clock := 1.0
-	slack := []float64{-0.5, 0.25}
-	// typical: slacks (-0.5, 0.25) → wns −0.5, tns −0.5.
-	// slow2x: s_c = 2s − T → (−2, −0.5) → wns −2, tns −2.5.
-	wns, tns := matrixMetrics(slack, terms, clock)
-	if wns != -2 || tns != -3 {
-		t.Fatalf("matrixMetrics=(%g,%g), want (-2,-3)", wns, tns)
-	}
-	// Degenerate shapes keep the hardMetrics conventions.
-	if w, tn := matrixMetrics(nil, terms, clock); w != 0 || tn != 0 {
-		t.Fatalf("empty slack metrics=(%g,%g)", w, tn)
-	}
-	if w, tn := matrixMetrics(slack, nil, clock); w != 0 || tn != 0 {
-		t.Fatalf("empty terms metrics=(%g,%g)", w, tn)
+	for _, tc := range []struct {
+		name     string
+		slack    []float64
+		terms    []CornerTerm
+		wns, tns float64
+	}{
+		// typical: slacks (-0.5, 0.25) → wns −0.5, tns −0.5.
+		// slow2x: s_c = 2s − T → (−2, −0.5) → wns −2, tns −2.5.
+		{"two_corners", []float64{-0.5, 0.25}, twoCorners, -2, -3},
+		{"typical_only", []float64{-1, 2, -3, 0.5}, typical, -3, -4},
+		{"typical_only_positive", []float64{1, 2}, typical, 1, 0},
+		// Degenerate shapes report (0, 0).
+		{"typical_only_empty_slack", nil, typical, 0, 0},
+		{"empty_slack", nil, twoCorners, 0, 0},
+		{"empty_terms", []float64{-0.5, 0.25}, nil, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if w, tn := matrixMetrics(tc.slack, tc.terms, 1.0); w != tc.wns || tn != tc.tns {
+				t.Fatalf("matrixMetrics=(%g,%g), want (%g,%g)", w, tn, tc.wns, tc.tns)
+			}
+		})
 	}
 }
 
@@ -117,11 +126,11 @@ func TestRefineMultiCornerRuns(t *testing.T) {
 }
 
 // TestHoldCornerSelection: the guard checks the minimum-DelayScale
-// corner, falling back to the fast preset for single-corner runs.
+// corner, which is the typical corner for a refiner without Corners.
 func TestHoldCornerSelection(t *testing.T) {
 	r, _ := fixture(t)
-	if c := r.holdCorner(); c != sta.FastCorner() {
-		t.Fatalf("single-corner hold corner %+v, want fast preset", c)
+	if c := r.holdCorner(); c != sta.TypicalCorner() {
+		t.Fatalf("single-corner hold corner %+v, want the typical corner", c)
 	}
 	opt := DefaultOptions()
 	opt.Corners = []CornerTerm{

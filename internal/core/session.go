@@ -7,44 +7,37 @@ import (
 )
 
 // evalSession is the refiner's workspace-backed evaluation state: one
-// tensor arena reused across iterations plus a single-entry memo of the
-// last forward pass, keyed by the exact Steiner coordinates. Algorithm 1
-// evaluates a candidate (evalMetrics) and, when it is accepted, asks for
-// gradients at the very same positions next iteration — the memo turns
-// that second Forward into a lookup. Forward passes are deterministic
-// functions of the coordinates, so replaying a cached tape is
+// tensor arena reused across iterations plus a memo of the last
+// candidate pass, keyed by its lanes' exact Steiner coordinates.
+// Algorithm 1 evaluates candidates (evalCandidates, and evalMetrics as a
+// one-lane pass) and, when one is accepted, asks for gradients at the
+// very same positions next iteration — the memo turns that second
+// forward into a lane-sliced backward. Forward passes are deterministic
+// functions of the coordinates, so reusing a cached tape is
 // byte-identical to recomputing it.
 //
 // The memo may be consumed by at most one Backward (gradients accumulate
 // into the cached leaves), and appending penalty ops dirties the tape, so
-// both gradient and penalty evaluations invalidate it. A session belongs
-// to one refiner and, like the model (see Model.Clone), must not be used
-// from two goroutines: parallel refinement runs each own a session.
+// a gradient request consumes it and every forward drops it. A session
+// belongs to one refiner and, like the model (see Model.Clone), must not
+// be used from two goroutines: parallel refinement runs each own a
+// session.
 type evalSession struct {
 	r  *Refiner
 	ws *tensor.Workspace
 
-	// curX/curY stage the forest's coordinates for the memo comparison.
+	// curX/curY stage a forest's coordinates for forwards and memo
+	// lookups.
 	curX, curY []float64
-	// Memoized forward pass (valid only until the next workspace reset).
-	memoX, memoY []float64
-	memoValid    bool
-	tp           *tensor.Tape
-	xs, ys       *tensor.Tensor
-	pred         *gnn.Prediction
 
-	// Batched candidate memo: the last ForwardBatch's tape with its
-	// lane-major coordinates. laneGradients serves a gradient request
-	// whose coordinates are bit-identical to one lane by appending the
-	// penalty and backward-propagating a lane slice — the second forward
-	// Algorithm 1 would otherwise pay at the accepted candidate's
-	// positions. Shares the workspace with the unbatched memo, so at
-	// most one of the two is valid at a time.
+	// Candidate memo: the last ForwardBatch's tape with its lane-major
+	// coordinates (valid while bp != nil). laneGradients serves a
+	// gradient request whose coordinates are bit-identical to one lane
+	// by appending the penalty and backward-propagating a lane slice.
 	bX, bY []float64
 	bLanes int
 	bTp    *tensor.Tape
 	bp     *gnn.BatchPrediction
-	bValid bool
 }
 
 func newEvalSession(r *Refiner) *evalSession {
@@ -53,7 +46,6 @@ func newEvalSession(r *Refiner) *evalSession {
 		r:    r,
 		ws:   tensor.NewWorkspace(),
 		curX: make([]float64, n), curY: make([]float64, n),
-		memoX: make([]float64, n), memoY: make([]float64, n),
 	}
 }
 
@@ -69,12 +61,9 @@ func (r *Refiner) session() *evalSession {
 	return r.sess
 }
 
-// invalidate drops the memoized forward passes — unbatched and batched —
-// (the workspace storage itself is reclaimed by the next forward's reset).
+// invalidate drops the memoized candidate pass (the workspace storage
+// itself is reclaimed by the next forward's reset).
 func (s *evalSession) invalidate() {
-	s.memoValid = false
-	s.tp, s.xs, s.ys, s.pred = nil, nil, nil, nil
-	s.bValid = false
 	s.bTp, s.bp = nil, nil
 }
 
@@ -85,34 +74,6 @@ func sliceEq(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// forward returns the evaluator's forward pass at f's current positions,
-// reusing the memoized tape when the coordinates are bit-identical to the
-// previous call's.
-func (s *evalSession) forward(f *rsmt.Forest) (*tensor.Tape, *tensor.Tensor, *tensor.Tensor, *gnn.Prediction, error) {
-	if err := s.r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s.memoValid && sliceEq(s.curX, s.memoX) && sliceEq(s.curY, s.memoY) {
-		s.r.sink().Add("core.memo_hits", 1)
-		return s.tp, s.xs, s.ys, s.pred, nil
-	}
-	s.invalidate()
-	tp := s.ws.Tape()
-	xs, ys, err := s.r.Batch.LeavesFromCoords(tp, s.curX, s.curY)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	pred, err := s.r.Model.Forward(tp, s.r.Batch, xs, ys, false)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	copy(s.memoX, s.curX)
-	copy(s.memoY, s.curY)
-	s.tp, s.xs, s.ys, s.pred = tp, xs, ys, pred
-	s.memoValid = true
-	return tp, xs, ys, pred, nil
 }
 
 // forwardBatch runs one fused K-lane forward at the staged candidate
@@ -133,19 +94,19 @@ func (s *evalSession) forwardBatch(lanes int, laneXs, laneYs []float64) (*gnn.Ba
 	s.bX, s.bY = s.bX[:n], s.bY[:n]
 	copy(s.bX, laneXs)
 	copy(s.bY, laneYs)
-	s.bLanes, s.bTp, s.bp, s.bValid = lanes, tp, bp, true
+	s.bLanes, s.bTp, s.bp = lanes, tp, bp
 	return bp, nil
 }
 
-// laneGradients serves a gradient request from the batched memo when f's
-// coordinates are bit-identical to one memoized lane: the penalty is
+// laneGradients serves a gradient request from the candidate memo when
+// f's coordinates are bit-identical to one memoized lane: the penalty is
 // appended per-lane on the K-lane slack, a lane slice selects the
 // matching candidate's scalar, and Backward leaves that candidate's
 // exact gradient in its lane of the coordinate leaves (the other lanes
 // receive exact zeros). ok reports whether the request was served; a
 // miss falls back to a fresh forward.
 func (s *evalSession) laneGradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, ok bool, err error) {
-	if !s.bValid {
+	if s.bp == nil {
 		return nil, nil, 0, false, nil
 	}
 	if err := s.r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {

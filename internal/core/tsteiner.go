@@ -24,6 +24,7 @@ import (
 	"tsteiner/internal/guard/fault"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/rsmt"
+	"tsteiner/internal/sta"
 	"tsteiner/internal/tensor"
 )
 
@@ -93,45 +94,45 @@ type Options struct {
 	// overhead). Armed sites: "core.nan" poisons the iteration's gradient,
 	// "core.stall" delays an iteration past a wall-clock budget, and
 	// "core.corner.nan" poisons the first corner's derated slack in the
-	// matrix penalty (multi-corner runs only).
+	// matrix penalty.
 	Fault *fault.Injector
 
-	// Corners enables the multi-corner matrix penalty and accept rule:
+	// Corners configures the matrix penalty and accept rule:
 	// P = Σ_c λ_c·P_γ(slack_c) with each corner's slack the affine
 	// derating of the predicted typical slack, and the lexicographic
 	// accept comparing worst-corner WNS then corner-summed TNS. Empty
-	// preserves the single-corner algorithm byte-for-byte (see
-	// corner.go).
+	// means the unit-weight typical corner, which is the single-corner
+	// algorithm of the paper (see corner.go).
 	Corners []CornerTerm
 
 	// HoldGuard adds the setup/hold co-optimization veto: a candidate
 	// that passes the setup accept is re-checked with a tree-geometry
-	// STA at the fastest corner and rejected if it has more hold
-	// violations than the round's starting forest — setup moves must
-	// not create hold violations. Off by default (costs one STA per
-	// otherwise-accepted iteration).
+	// STA at the fastest configured corner (the typical corner when
+	// Corners is empty) and rejected if it has more hold violations than
+	// the round's starting forest — setup moves must not create hold
+	// violations. Off by default (costs one STA per otherwise-accepted
+	// iteration).
 	HoldGuard bool
 
 	// DisableWorkspace selects the allocating reference evaluation path
-	// instead of the pooled workspace + forward-memo path. Both are
-	// byte-identical (the differential gate TestWorkspaceForwardMatches-
-	// Allocating holds them together); the flag exists for that gate and
-	// for the bench harness's before/after comparison.
+	// instead of the pooled workspace path: a fresh tape per forward, no
+	// lane memo, and K sequential forwards instead of one fused
+	// candidate pass. Both are byte-identical (the differential gates
+	// TestWorkspaceForwardMatchesAllocating and
+	// TestBatchedRefineMatchesSequential hold them together); the flag
+	// exists for those gates and for the bench harness's before/after
+	// comparison.
 	DisableWorkspace bool
 
 	// CandidateLanes sets the number K of candidate steps evaluated per
 	// iteration in one fused batched forward pass: lane 0 takes the full
-	// SO step (exactly the single-candidate update) and lane k scales the
-	// displacement by 2^-k — a backtracking line search along the SO
-	// direction whose K evaluations share one amortized forward over the
-	// batch's precomputed structure tables. The lane with the best hard
-	// metrics (max WNS, ties by TNS, then lowest lane) becomes the
-	// iteration's candidate and meets the usual accept rule. 0 or 1
-	// preserves the single-candidate algorithm byte-for-byte. With
-	// DisableWorkspace the same K candidates are evaluated by K
-	// sequential forwards instead — byte-identical trajectories, no
-	// batched kernels (the differential gate
-	// TestBatchedRefineMatchesSequential holds the two together).
+	// SO step and lane k scales the displacement by 2^-k — a
+	// backtracking line search along the SO direction whose K
+	// evaluations share one amortized forward over the batch's
+	// precomputed structure tables. The lane with the best hard metrics
+	// (max WNS, ties by TNS, then lowest lane) becomes the iteration's
+	// candidate and meets the usual accept rule. 0 and 1 both mean
+	// K = 1, the single-candidate algorithm of the paper.
 	CandidateLanes int
 }
 
@@ -160,8 +161,8 @@ type IterRecord struct {
 	WNS, TNS float64 // evaluated metrics of the chosen candidate
 	Accepted bool
 	Theta    float64
-	// Lane is the chosen candidate's lane (step scale 2^-Lane) when
-	// CandidateLanes > 1; always 0 on the single-candidate path.
+	// Lane is the chosen candidate's lane (step scale 2^-Lane); always
+	// 0 when CandidateLanes ≤ 1.
 	Lane int
 }
 
@@ -205,6 +206,11 @@ func NewRefiner(m *gnn.Model, b *gnn.Batch, p *flow.Prepared, opt Options) (*Ref
 	if opt.Gamma <= 0 || opt.N <= 0 || opt.Alpha == 0 {
 		return nil, fmt.Errorf("core: bad options %+v", opt)
 	}
+	if len(opt.Corners) == 0 {
+		// The single-corner algorithm is the matrix of the unit-weight
+		// typical corner, bit for bit (see corner.go).
+		opt.Corners = []CornerTerm{{Corner: sta.TypicalCorner(), Lambda: 1}}
+	}
 	if err := validateCornerTerms(opt.Corners); err != nil {
 		return nil, err
 	}
@@ -216,45 +222,42 @@ func NewRefiner(m *gnn.Model, b *gnn.Batch, p *flow.Prepared, opt Options) (*Ref
 // ever feeds back into refinement.
 func (r *Refiner) sink() *obs.Sink { return r.Prep.Config.Obs }
 
-// evalMetrics runs a forward pass and returns hard (unsmoothed) WNS/TNS of
-// the predicted endpoint slacks — the quantities Algorithm 1 compares.
+// evalMetrics returns the hard metrics of the predicted endpoint slacks
+// at f's positions — the quantities Algorithm 1 compares — by evaluating
+// them as a one-lane candidate pass.
 func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
-	r.sink().Add("core.evals", 1)
-	if s := r.session(); s != nil {
-		_, _, _, pred, err := s.forward(f)
-		if err != nil {
-			return 0, 0, err
-		}
-		wns, tns = r.metricsFromSlack(pred.Slack.Data)
-		return wns, tns, nil
-	}
-	tp := tensor.NewTape()
-	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
-	if err != nil {
+	n := r.Batch.NSteiner
+	xs, ys := make([]float64, n), make([]float64, n)
+	if err := r.Batch.FillSteinerCoords(f, xs, ys); err != nil {
 		return 0, 0, err
 	}
-	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-	if err != nil {
+	var w, t [1]float64
+	if err := r.evalCandidates(1, xs, ys, w[:], t[:]); err != nil {
 		return 0, 0, err
 	}
-	wns, tns = r.metricsFromSlack(pred.Slack.Data)
-	return wns, tns, nil
+	return w[0], t[0], nil
 }
 
-func hardMetrics(slack []float64) (wns, tns float64) {
-	wns = math.Inf(1)
-	for _, s := range slack {
-		if s < wns {
-			wns = s
-		}
-		if s < 0 {
-			tns += s
-		}
+// forward runs the evaluator at f's positions: on the session's pooled
+// tape, or on a fresh allocating tape when Options.DisableWorkspace
+// selects the reference path.
+func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys *tensor.Tensor, pred *gnn.Prediction, err error) {
+	var cx, cy []float64
+	if s := r.session(); s != nil {
+		s.invalidate() // the tape reset reclaims the lane memo's storage
+		tp, cx, cy = s.ws.Tape(), s.curX, s.curY
+	} else {
+		n := r.Batch.NSteiner
+		tp, cx, cy = tensor.NewTape(), make([]float64, n), make([]float64, n)
 	}
-	if len(slack) == 0 {
-		wns = 0
+	if err := r.Batch.FillSteinerCoords(f, cx, cy); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	return wns, tns
+	if xs, ys, err = r.Batch.LeavesFromCoords(tp, cx, cy); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
+	return tp, xs, ys, pred, err
 }
 
 // gradients computes (∇_Xs P, ∇_Ys P) at the forest's current positions
@@ -262,32 +265,19 @@ func hardMetrics(slack []float64) (wns, tns float64) {
 // the forward pass as well (free for callers, logged by telemetry).
 func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, err error) {
 	r.sink().Add("core.grad_calls", 1)
-	var tp *tensor.Tape
-	var xs, ys *tensor.Tensor
-	var pred *gnn.Prediction
 	if s := r.session(); s != nil {
-		// A memoized batched candidate pass may already hold the forward
-		// at f's exact coordinates in one of its lanes; extracting the
-		// lane's gradient there skips the whole forward.
+		// The last candidate pass may hold the forward at f's exact
+		// coordinates in one of its lanes; extracting the lane's gradient
+		// there skips the whole forward.
 		if gx, gy, pval, ok, lerr := s.laneGradients(f, lw, lt); ok || lerr != nil {
 			return gx, gy, pval, lerr
 		}
-		tp, xs, ys, pred, err = s.forward(f)
-		// Appending penalty ops and running Backward consume the
-		// memoized tape: gradients accumulate, so it must not be
-		// replayed (and callers may escalate λ between calls).
-		s.invalidate()
-	} else {
-		tp = tensor.NewTape()
-		xs, ys, err = r.Batch.SteinerLeaves(tp, f)
-		if err == nil {
-			pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
-		}
 	}
+	tp, xs, ys, pred, err := r.forward(f)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	p, err := r.penalty(tp, pred, lw, lt)
+	p, err := r.penaltyMatrixOn(tp, pred.Slack, lw, lt)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -298,13 +288,6 @@ func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, p
 	// the next forward, and callers (adaptiveTheta, the NaN-recovery
 	// fault site) hold and mutate them across further gradient calls.
 	return append([]float64(nil), xs.Grad...), append([]float64(nil), ys.Grad...), p.Data[0], nil
-}
-
-// penalty builds P_γ = λ_w·w_γ + λ_t·t_γ on the tape (Eq. 4–6) from a
-// prediction's slack — or the multi-corner matrix penalty when
-// Options.Corners are configured.
-func (r *Refiner) penalty(tp *tensor.Tape, pred *gnn.Prediction, lw, lt float64) (*tensor.Tensor, error) {
-	return r.penaltyMatrixOn(tp, pred.Slack, lw, lt)
 }
 
 // penaltyOn builds the smoothed penalty directly on a slack tensor:
@@ -359,24 +342,11 @@ func (r *Refiner) penaltyOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt float6
 // forest's current positions without computing gradients.
 func (r *Refiner) Penalty(f *rsmt.Forest) (float64, error) {
 	r.sink().Add("core.penalty_evals", 1)
-	var tp *tensor.Tape
-	var pred *gnn.Prediction
-	var err error
-	if s := r.session(); s != nil {
-		tp, _, _, pred, err = s.forward(f)
-		s.invalidate() // penalty ops dirty the tape
-	} else {
-		tp = tensor.NewTape()
-		var xs, ys *tensor.Tensor
-		xs, ys, err = r.Batch.SteinerLeaves(tp, f)
-		if err == nil {
-			pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
-		}
-	}
+	tp, _, _, pred, err := r.forward(f)
 	if err != nil {
 		return 0, err
 	}
-	p, err := r.penalty(tp, pred, r.Opt.LambdaW, r.Opt.LambdaT)
+	p, err := r.penaltyMatrixOn(tp, pred.Slack, r.Opt.LambdaW, r.Opt.LambdaT)
 	if err != nil {
 		return 0, err
 	}
@@ -591,29 +561,19 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 	// Persistent per-loop storage, reused across iterations instead of
 	// cloned: the candidate forest (SetSteinerPositions overwrites every
 	// Steiner coordinate, and pin nodes are identical across clones), the
-	// coordinate staging buffers the SO step mutates, and the staged
-	// per-coordinate displacement.
+	// coordinate staging buffers the SO step mutates, the staged
+	// per-coordinate displacement, and the lane-major coordinate blocks
+	// and metrics of the K candidates.
 	cand := startForest.Clone()
 	xsBuf := make([]float64, nVars)
 	ysBuf := make([]float64, nVars)
 	dxBuf := make([]float64, nVars)
 	dyBuf := make([]float64, nVars)
-	// Multi-candidate staging (CandidateLanes ≥ 2): lane-major candidate
-	// coordinate blocks, per-lane metrics, and the scratch forest that
-	// realizes each lane's die clamp.
-	K := opt.CandidateLanes
-	if K < 1 {
-		K = 1
-	}
-	var laneXs, laneYs, laneWNS, laneTNS []float64
-	var scratch *rsmt.Forest
-	if K > 1 {
-		laneXs = make([]float64, K*nVars)
-		laneYs = make([]float64, K*nVars)
-		laneWNS = make([]float64, K)
-		laneTNS = make([]float64, K)
-		scratch = startForest.Clone()
-	}
+	K := max(opt.CandidateLanes, 1)
+	laneXs := make([]float64, K*nVars)
+	laneYs := make([]float64, K*nVars)
+	laneWNS := make([]float64, K)
+	laneTNS := make([]float64, K)
 
 	for t := startIter; t < opt.N && !res.ConvergedByRatio; t++ {
 		iterM0 := r.sink().Mallocs()
@@ -660,9 +620,8 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 			continue
 		}
 		// The SO update is staged as a per-coordinate displacement first
-		// (moments update, MaxMove clamp), then applied — at full scale on
-		// the single-candidate path, at K geometric scales on the
-		// multi-candidate path.
+		// (moments update, MaxMove clamp), then applied at K geometric
+		// scales.
 		// stepSq/clamped observe the update for telemetry only; they are
 		// derived from the same deterministic arithmetic, never fed back.
 		var stepSq float64
@@ -695,46 +654,16 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 		step(gy, mY, vY, dyBuf)
 		cur.CopySteinerPositionsInto(xsBuf, ysBuf)
 
-		var wns, tns float64
-		lane := 0
-		if K > 1 {
-			if err := r.stageCandidates(K, xsBuf, ysBuf, dxBuf, dyBuf, x0, y0, idx, scratch, laneXs, laneYs, &clamped); err != nil {
-				return nil, err
-			}
-			if err := r.evalCandidates(K, laneXs, laneYs, laneWNS, laneTNS); err != nil {
-				return nil, err
-			}
-			lane = chooseLane(laneWNS, laneTNS)
-			wns, tns = laneWNS[lane], laneTNS[lane]
-			if err := cand.SetSteinerPositions(laneXs[lane*nVars:(lane+1)*nVars], laneYs[lane*nVars:(lane+1)*nVars], idx, r.Prep.Design.Die); err != nil {
-				return nil, err
-			}
-		} else {
-			xs, ys := xsBuf, ysBuf
-			for i := range xs {
-				xs[i] -= dxBuf[i]
-				ys[i] -= dyBuf[i]
-			}
-			if rr := opt.TrustRadiusDBU; rr > 0 {
-				for i := range xs {
-					cx := clampTo(xs[i], x0[i]-rr, x0[i]+rr)
-					cy := clampTo(ys[i], y0[i]-rr, y0[i]+rr)
-					if cx != xs[i] {
-						clamped++
-					}
-					if cy != ys[i] {
-						clamped++
-					}
-					xs[i], ys[i] = cx, cy
-				}
-			}
-			if err := cand.SetSteinerPositions(xs, ys, idx, r.Prep.Design.Die); err != nil {
-				return nil, err
-			}
-			wns, tns, err = r.evalMetrics(cand)
-			if err != nil {
-				return nil, err
-			}
+		if err := r.stageCandidates(K, xsBuf, ysBuf, dxBuf, dyBuf, x0, y0, idx, cand, laneXs, laneYs, &clamped); err != nil {
+			return nil, err
+		}
+		if err := r.evalCandidates(K, laneXs, laneYs, laneWNS, laneTNS); err != nil {
+			return nil, err
+		}
+		lane := chooseLane(laneWNS, laneTNS)
+		wns, tns := laneWNS[lane], laneTNS[lane]
+		if err := cand.SetSteinerPositions(laneXs[lane*nVars:(lane+1)*nVars], laneYs[lane*nVars:(lane+1)*nVars], idx, r.Prep.Design.Die); err != nil {
+			return nil, err
 		}
 		accepted := opt.AlwaysAccept || wns > res.BestWNS || tns > res.BestTNS
 		if accepted && opt.HoldGuard && !opt.AlwaysAccept {
@@ -839,7 +768,8 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 // each lane block holds exactly the coordinates the evaluator will see.
 // The blocks double as SetSteinerPositions inputs because the batch's
 // variable order is the forest's Steiner order (FillSteinerCoords
-// verifies this on every call).
+// verifies this on every call). The scratch forest is left holding the
+// last lane's positions.
 func (r *Refiner) stageCandidates(lanes int, baseX, baseY, dx, dy, x0, y0 []float64, idx []rsmt.SteinerRef, scratch *rsmt.Forest, laneXs, laneYs []float64, clamped *int) error {
 	n := len(baseX)
 	scale := 1.0

@@ -27,21 +27,6 @@ func fixture(t *testing.T) (*Refiner, *train.Sample) {
 	return r, s
 }
 
-func TestHardMetrics(t *testing.T) {
-	w, tn := hardMetrics([]float64{-1, 2, -3, 0.5})
-	if w != -3 || tn != -4 {
-		t.Fatalf("hardMetrics=(%g,%g) want (-3,-4)", w, tn)
-	}
-	w, tn = hardMetrics([]float64{1, 2})
-	if w != 1 || tn != 0 {
-		t.Fatalf("all-positive metrics=(%g,%g)", w, tn)
-	}
-	w, tn = hardMetrics(nil)
-	if w != 0 || tn != 0 {
-		t.Fatalf("empty metrics=(%g,%g)", w, tn)
-	}
-}
-
 func TestRatioImproved(t *testing.T) {
 	if !ratioImproved(-10, -8, 0.1) {
 		t.Fatal("20%% improvement on -10 should trigger μ=0.1")

@@ -156,47 +156,7 @@ func PrepareBenchmark(name string, scale float64, cfg Config) (*Prepared, error)
 // Prepare places the design and builds its initial Steiner forest,
 // applying congestion-driven edge shifting unless disabled.
 func Prepare(d *netlist.Design, l *lib.Library, cfg Config) (*Prepared, error) {
-	t0 := time.Now()
-	root := cfg.Obs.Start("flow.prepare")
-	defer root.End()
-	cfg.Budget.Start()
-	if err := cfg.phaseGate("place"); err != nil {
-		return nil, err
-	}
-	sp := root.Child("place")
-	_, err := place.Place(d, cfg.Place)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("flow: place: %w", err)
-	}
-	if cfg.RSMT.Workers == 0 {
-		cfg.RSMT.Workers = cfg.Workers
-	}
-	if err := cfg.phaseGate("rsmt"); err != nil {
-		return nil, err
-	}
-	sp = root.Child("rsmt")
-	f, err := rsmt.BuildAll(d, cfg.RSMT)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("flow: steiner: %w", err)
-	}
-	if !cfg.SkipEdgeShift {
-		g, err := grid.New(d.Die, cfg.GCellSize, cfg.LayerCaps)
-		if err != nil {
-			return nil, fmt.Errorf("flow: grid: %w", err)
-		}
-		sp = root.Child("edgeshift")
-		route.EdgeShift(f, g, cfg.EdgeShift)
-		sp.End()
-	}
-	return &Prepared{
-		Design:  d,
-		Forest:  f,
-		Lib:     l,
-		Config:  cfg,
-		PrepSec: time.Since(t0).Seconds(),
-	}, nil
+	return prepare(d, l, cfg, true)
 }
 
 // PrepareKeepPlacement builds the pre-routing state for a design that
@@ -204,13 +164,44 @@ func Prepare(d *netlist.Design, l *lib.Library, cfg Config) (*Prepared, error) {
 // die, builds Steiner trees over the existing positions and applies edge
 // shifting, without running the placer.
 func PrepareKeepPlacement(d *netlist.Design, l *lib.Library, cfg Config) (*Prepared, error) {
-	t0 := time.Now()
 	if d.Die.Empty() || d.Die.Width() == 0 || d.Die.Height() == 0 {
 		return nil, fmt.Errorf("flow: design has no usable die for placement-preserving prepare")
 	}
+	return prepare(d, l, cfg, false)
+}
+
+// HasPlacement reports whether a loaded design carries a placement worth
+// keeping: a die and at least one cell off the origin. Such designs go
+// through PrepareKeepPlacement instead of Prepare.
+func HasPlacement(d *netlist.Design) bool {
+	if d.Die.Empty() || d.Die.Width() == 0 {
+		return false
+	}
+	for ci := range d.Cells {
+		if p := d.Cells[ci].Pos; p.X != 0 || p.Y != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// prepare is the body of Prepare (withPlace) and PrepareKeepPlacement.
+func prepare(d *netlist.Design, l *lib.Library, cfg Config, withPlace bool) (*Prepared, error) {
+	t0 := time.Now()
 	root := cfg.Obs.Start("flow.prepare")
 	defer root.End()
 	cfg.Budget.Start()
+	if withPlace {
+		if err := cfg.phaseGate("place"); err != nil {
+			return nil, err
+		}
+		sp := root.Child("place")
+		_, err := place.Place(d, cfg.Place)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("flow: place: %w", err)
+		}
+	}
 	if cfg.RSMT.Workers == 0 {
 		cfg.RSMT.Workers = cfg.Workers
 	}

@@ -241,6 +241,17 @@ func TestPrepareKeepPlacement(t *testing.T) {
 	if _, err := PrepareKeepPlacement(&bad, p.Lib, DefaultConfig()); err == nil {
 		t.Fatal("die-less design accepted")
 	}
+	// HasPlacement picks between the two prepares: a die and a cell off
+	// the origin.
+	unplaced := *p.Design
+	unplaced.Cells = append(unplaced.Cells[:0:0], p.Design.Cells...)
+	for i := range unplaced.Cells {
+		unplaced.Cells[i].Pos.X, unplaced.Cells[i].Pos.Y = 0, 0
+	}
+	if !HasPlacement(p.Design) || HasPlacement(&bad) || HasPlacement(&unplaced) {
+		t.Fatalf("HasPlacement: placed %v, die-less %v, all at origin %v",
+			HasPlacement(p.Design), HasPlacement(&bad), HasPlacement(&unplaced))
+	}
 }
 
 func TestSignoffTimingReturnsArrivals(t *testing.T) {

@@ -476,82 +476,22 @@ func Labels(res *sta.Result) []float64 {
 // EngineeredFeatures evaluates the differentiable parasitic features the
 // model's heads consume — per-sink Elmore surrogate and driver→sink path
 // length (both from tree geometry), plus per-net capacitance — without
-// gradients. Sinks are indexed in the batch's global sink order; nets in
-// tree order. Exposed for analysis and validated against hand-computed
-// Elmore in tests.
+// gradients, through the same first stage Forward runs. Sinks are
+// indexed in the batch's global sink order; nets in tree order. Exposed
+// for analysis and validated against hand-computed Elmore in tests.
 func (b *Batch) EngineeredFeatures(f *rsmt.Forest) (elm, pathLen, netCap []float64, err error) {
 	tp := tensor.NewTape()
-	xsv, ysv, idx := f.SteinerPositions()
-	if len(idx) != b.NSteiner {
-		return nil, nil, nil, fmt.Errorf("gnn: forest has %d Steiner vars, batch %d", len(idx), b.NSteiner)
-	}
-	xs, _ := tensor.FromSlice(len(xsv), 1, xsv)
-	ys, _ := tensor.FromSlice(len(ysv), 1, ysv)
-	tp.Constant(xs)
-	tp.Constant(ys)
-	pinX, _ := tensor.FromSlice(len(b.ConstPinX), 1, b.ConstPinX)
-	pinY, _ := tensor.FromSlice(len(b.ConstPinY), 1, b.ConstPinY)
-	tp.Constant(pinX)
-	tp.Constant(pinY)
-	combX, err := tp.ConcatRows(xs, pinX)
+	xs, ys, err := b.SteinerLeaves(tp, f)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	combY, _ := tp.ConcatRows(ys, pinY)
-	nodeX, err := tp.GatherRows(combX, b.SrcIdx)
+	ft, err := steinerFeatures(tp, b, xs, ys)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	nodeY, _ := tp.GatherRows(combY, b.SrcIdx)
-
-	// Edge lengths.
-	ax, _ := tp.GatherRows(nodeX, b.EdgePar)
-	bx, _ := tp.GatherRows(nodeX, b.EdgeChild)
-	ay, _ := tp.GatherRows(nodeY, b.EdgePar)
-	by, _ := tp.GatherRows(nodeY, b.EdgeChild)
-	dx, _ := tp.Sub(ax, bx)
-	dy, _ := tp.Sub(ay, by)
-	adx, _ := tp.Abs(dx)
-	ady, _ := tp.Abs(dy)
-	lenE, err := tp.Add(adx, ady)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	gSub, _ := tp.GatherRows(lenE, b.SubPairEdge)
-	descLen, err := tp.SegmentSum(gSub, b.SubPairAnchor, len(b.EdgePar))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	subLen, _ := tp.Add(lenE, descLen)
-	wireCapDown, _ := tp.Scale(subLen, b.CAvg)
-	pinCapBelow, _ := tensor.FromSlice(len(b.PinCapBelowEdge), 1, b.PinCapBelowEdge)
-	tp.Constant(pinCapBelow)
-	capDown, _ := tp.Add(wireCapDown, pinCapBelow)
-	rE, _ := tp.Scale(lenE, b.RAvg)
-	elmE, err := tp.Mul(rE, capDown)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nSinks := len(b.SinkSinkPin)
-	gElm, _ := tp.GatherRows(elmE, b.PathPairEdge)
-	elmT, err := tp.SegmentSum(gElm, b.PathPairSink, nSinks)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	gLen, _ := tp.GatherRows(lenE, b.PathPairEdge)
-	pathT, _ := tp.SegmentSum(gLen, b.PathPairSink, nSinks)
-	treeLen, _ := tp.SegmentSum(lenE, b.EdgeTree, b.NTrees)
-	wireCapT, _ := tp.Scale(treeLen, b.CAvg)
-	pinCapT, _ := tensor.FromSlice(len(b.PinCapSumTree), 1, b.PinCapSumTree)
-	tp.Constant(pinCapT)
-	capT, err := tp.Add(wireCapT, pinCapT)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return append([]float64(nil), elmT.Data...),
-		append([]float64(nil), pathT.Data...),
-		append([]float64(nil), capT.Data...), nil
+	return append([]float64(nil), ft.elmS.Data...),
+		append([]float64(nil), ft.pathS.Data...),
+		append([]float64(nil), ft.netCap.Data...), nil
 }
 
 // SteinerLeaves creates the (X_s, Y_s) leaf tensors for a forest snapshot

@@ -190,89 +190,12 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 		attach(p)
 	}
 
-	// ---- coordinates & edge lengths ----
-	// Batch constants join the tape as aliases: the backing slices are
-	// immutable for the batch's lifetime and ops never write inputs.
-	pinX, err := tp.Alias(len(b.ConstPinX), 1, b.ConstPinX)
-	if err != nil {
-		return nil, err
-	}
-	pinY, _ := tp.Alias(len(b.ConstPinY), 1, b.ConstPinY)
-	combX, err := tp.ConcatRows(xs, pinX)
-	if err != nil {
-		return nil, err
-	}
-	combY, err := tp.ConcatRows(ys, pinY)
-	if err != nil {
-		return nil, err
-	}
-	nodeX, err := tp.GatherRows(combX, b.SrcIdx)
-	if err != nil {
-		return nil, err
-	}
-	nodeY, err := tp.GatherRows(combY, b.SrcIdx)
-	if err != nil {
-		return nil, err
-	}
-
-	lenE, err := m.edgeLengths(tp, b, nodeX, nodeY)
-	if err != nil {
-		return nil, err
-	}
-
 	// ---- engineered differentiable parasitics ----
-	// Subtree wire length per edge: own length plus descendants.
-	descLen, err := gatherSegSum(tp, lenE, b.SubPairEdge, b.SubPairAnchor, len(b.EdgePar))
+	ft, err := steinerFeatures(tp, b, xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	subLen, err := tp.Add(lenE, descLen)
-	if err != nil {
-		return nil, err
-	}
-	// Downstream cap per edge: c̄·subLen + pin cap below (const).
-	wireCapDown, err := tp.Scale(subLen, b.CAvg)
-	if err != nil {
-		return nil, err
-	}
-	pinCapBelow, _ := tp.Alias(len(b.PinCapBelowEdge), 1, b.PinCapBelowEdge)
-	capDown, err := tp.Add(wireCapDown, pinCapBelow)
-	if err != nil {
-		return nil, err
-	}
-	// Elmore contribution per edge: r̄·len ⊙ capDown.
-	rE, err := tp.Scale(lenE, b.RAvg)
-	if err != nil {
-		return nil, err
-	}
-	elmE, err := tp.Mul(rE, capDown)
-	if err != nil {
-		return nil, err
-	}
-	// Per-sink Elmore and path length.
-	nSinks := len(b.SinkSinkPin)
-	elmS, err := gatherSegSum(tp, elmE, b.PathPairEdge, b.PathPairSink, nSinks)
-	if err != nil {
-		return nil, err
-	}
-	pathS, err := gatherSegSum(tp, lenE, b.PathPairEdge, b.PathPairSink, nSinks)
-	if err != nil {
-		return nil, err
-	}
-	// Net capacitance per tree: c̄·treeLen + Σ pin caps.
-	treeLen, err := tp.SegmentSum(lenE, b.EdgeTree, b.NTrees)
-	if err != nil {
-		return nil, err
-	}
-	wireCapT, err := tp.Scale(treeLen, b.CAvg)
-	if err != nil {
-		return nil, err
-	}
-	pinCapT, _ := tp.Alias(len(b.PinCapSumTree), 1, b.PinCapSumTree)
-	netCap, err := tp.Add(wireCapT, pinCapT)
-	if err != nil {
-		return nil, err
-	}
+	elmS, pathS, netCap := ft.elmS, ft.pathS, ft.netCap
 
 	// Netlist-only variant: strip every tree-derived feature, leaving the
 	// HPWL-based estimates a pre-routing predictor without Steiner
@@ -290,15 +213,15 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 		if err != nil {
 			return nil, err
 		}
-		pinCapT2, _ := tp.Alias(len(b.PinCapSumTree), 1, b.PinCapSumTree)
-		netCap, err = tp.Add(hpCap, pinCapT2)
+		pinCapT, _ := tp.Alias(len(b.PinCapSumTree), 1, b.PinCapSumTree)
+		netCap, err = tp.Add(hpCap, pinCapT)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// ---- Steiner-graph message passing ----
-	h, err := m.steinerMP(tp, b, nodeX, nodeY, lenE, elmS, pathS)
+	h, err := m.steinerMP(tp, b, ft.nodeX, ft.nodeY, ft.lenE, elmS, pathS)
 	if err != nil {
 		return nil, err
 	}
@@ -307,26 +230,114 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 	return m.propagate(tp, b, h, elmS, pathS, netCap)
 }
 
-// edgeLengths computes |Δx|+|Δy| per oriented tree edge.
-func (m *Model) edgeLengths(tp *tensor.Tape, b *Batch, nodeX, nodeY *tensor.Tensor) (*tensor.Tensor, error) {
-	ax, err := tp.GatherRows(nodeX, b.EdgePar)
+// features is the evaluator's first stage (Fig. 3): the tree geometry
+// and the engineered parasitics derived from it, all differentiable in
+// the Steiner coordinates.
+type features struct {
+	nodeX, nodeY *tensor.Tensor // per-node coordinates
+	lenE         *tensor.Tensor // per-edge Manhattan length |Δx|+|Δy|
+	elmS, pathS  *tensor.Tensor // per-sink Elmore surrogate and driver→sink path length
+	netCap       *tensor.Tensor // per-net capacitance
+}
+
+// steinerFeatures builds the first stage from the Steiner coordinate
+// tensors: node coordinates, edge lengths, subtree length, Elmore, path
+// length and net capacitance. Forward and EngineeredFeatures both run
+// it, so the analysis export is the code the model runs.
+func steinerFeatures(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor) (features, error) {
+	var ft features
+	// Batch constants join the tape as aliases: the backing slices are
+	// immutable for the batch's lifetime and ops never write inputs.
+	pinX, err := tp.Alias(len(b.ConstPinX), 1, b.ConstPinX)
 	if err != nil {
-		return nil, err
+		return ft, err
 	}
-	bx, _ := tp.GatherRows(nodeX, b.EdgeChild)
-	ay, _ := tp.GatherRows(nodeY, b.EdgePar)
-	by, _ := tp.GatherRows(nodeY, b.EdgeChild)
+	pinY, _ := tp.Alias(len(b.ConstPinY), 1, b.ConstPinY)
+	combX, err := tp.ConcatRows(xs, pinX)
+	if err != nil {
+		return ft, err
+	}
+	combY, err := tp.ConcatRows(ys, pinY)
+	if err != nil {
+		return ft, err
+	}
+	if ft.nodeX, err = tp.GatherRows(combX, b.SrcIdx); err != nil {
+		return ft, err
+	}
+	if ft.nodeY, err = tp.GatherRows(combY, b.SrcIdx); err != nil {
+		return ft, err
+	}
+
+	// Edge lengths.
+	ax, err := tp.GatherRows(ft.nodeX, b.EdgePar)
+	if err != nil {
+		return ft, err
+	}
+	bx, _ := tp.GatherRows(ft.nodeX, b.EdgeChild)
+	ay, _ := tp.GatherRows(ft.nodeY, b.EdgePar)
+	by, _ := tp.GatherRows(ft.nodeY, b.EdgeChild)
 	dx, err := tp.Sub(ax, bx)
 	if err != nil {
-		return nil, err
+		return ft, err
 	}
 	dy, _ := tp.Sub(ay, by)
 	adx, err := tp.Abs(dx)
 	if err != nil {
-		return nil, err
+		return ft, err
 	}
 	ady, _ := tp.Abs(dy)
-	return tp.Add(adx, ady)
+	if ft.lenE, err = tp.Add(adx, ady); err != nil {
+		return ft, err
+	}
+
+	// Subtree wire length per edge: own length plus descendants.
+	descLen, err := gatherSegSum(tp, ft.lenE, b.SubPairEdge, b.SubPairAnchor, len(b.EdgePar))
+	if err != nil {
+		return ft, err
+	}
+	subLen, err := tp.Add(ft.lenE, descLen)
+	if err != nil {
+		return ft, err
+	}
+	// Downstream cap per edge: c̄·subLen + pin cap below (const).
+	wireCapDown, err := tp.Scale(subLen, b.CAvg)
+	if err != nil {
+		return ft, err
+	}
+	pinCapBelow, _ := tp.Alias(len(b.PinCapBelowEdge), 1, b.PinCapBelowEdge)
+	capDown, err := tp.Add(wireCapDown, pinCapBelow)
+	if err != nil {
+		return ft, err
+	}
+	// Elmore contribution per edge: r̄·len ⊙ capDown.
+	rE, err := tp.Scale(ft.lenE, b.RAvg)
+	if err != nil {
+		return ft, err
+	}
+	elmE, err := tp.Mul(rE, capDown)
+	if err != nil {
+		return ft, err
+	}
+	// Per-sink Elmore and path length.
+	nSinks := len(b.SinkSinkPin)
+	if ft.elmS, err = gatherSegSum(tp, elmE, b.PathPairEdge, b.PathPairSink, nSinks); err != nil {
+		return ft, err
+	}
+	if ft.pathS, err = gatherSegSum(tp, ft.lenE, b.PathPairEdge, b.PathPairSink, nSinks); err != nil {
+		return ft, err
+	}
+	// Net capacitance per tree: c̄·treeLen + Σ pin caps.
+	treeLen, err := tp.SegmentSum(ft.lenE, b.EdgeTree, b.NTrees)
+	if err != nil {
+		return ft, err
+	}
+	wireCapT, err := tp.Scale(treeLen, b.CAvg)
+	if err != nil {
+		return ft, err
+	}
+	pinCapT, _ := tp.Alias(len(b.PinCapSumTree), 1, b.PinCapSumTree)
+	ft.netCap, err = tp.Add(wireCapT, pinCapT)
+	return ft, err
 }
 
 // gatherSegSum is the sparse accumulate out[dst[i]] += src[idx[i]].

@@ -364,19 +364,3 @@ func (g *Grid) StaticLayer(horiz bool, x, y int) int {
 	}
 	return -1
 }
-
-// UnassignLayerH releases one previously booked track on layer l of a
-// horizontal edge (incremental rip-up).
-func (g *Grid) UnassignLayerH(l, x, y int) {
-	if idx := g.hIndex(x, y); idx >= 0 && l >= 1 && l < len(g.LayerCap) && g.layerUseH[l][idx] > 0 {
-		g.layerUseH[l][idx]--
-	}
-}
-
-// UnassignLayerV releases one previously booked track on layer l of a
-// vertical edge.
-func (g *Grid) UnassignLayerV(l, x, y int) {
-	if idx := g.vIndex(x, y); idx >= 0 && l >= 1 && l < len(g.LayerCap) && g.layerUseV[l][idx] > 0 {
-		g.layerUseV[l][idx]--
-	}
-}

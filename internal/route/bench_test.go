@@ -64,7 +64,9 @@ func BenchmarkIncrementalReroute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev, err := Route(d, f, g, DefaultOptions())
+	opt := DefaultOptions()
+	opt.StaticPatterns = true
+	prev, err := Route(d, f, g, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,13 +82,13 @@ func BenchmarkIncrementalReroute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := Incremental(d, f, newF, g, prev, DefaultOptions())
+		res, _, err := Incremental(d, f, newF, g, prev, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Restore: route back to the original forest so every iteration
 		// starts from the same grid state.
-		_, _, err = Incremental(d, newF, f, g, res, DefaultOptions())
+		_, _, err = Incremental(d, newF, f, g, res, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

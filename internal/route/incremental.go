@@ -10,87 +10,92 @@ import (
 
 // Incremental routing: after Steiner refinement, most nets' trees are
 // unchanged at GCell granularity — only the nets whose nodes crossed a
-// GCell boundary need new routes. Incremental rips up exactly those nets
-// from the previous routing state and re-routes them under the current
-// congestion, reusing everything else. This is the routing-side
-// counterpart of TSteiner's "small runtime overhead" story: a refinement
-// pass does not force a full re-route.
+// GCell boundary need new paths. This is the routing-side counterpart
+// of TSteiner's "small runtime overhead" story: a refinement pass does
+// not force a full re-route.
 
 // Incremental updates prev (computed for oldF on g) into a routing of
 // newF. The two forests must share topology (same trees, nodes and
 // edges); only positions may differ. g must still hold prev's usage.
-// Returns the new result and the number of re-routed nets.
+// Returns the new result and the number of nets that crossed a GCell
+// boundary.
 //
-// In the default (congestion-probing) mode the re-route of a changed
-// net sees the congestion history of prev, so the merged result is a
-// good routing but not the routing a from-scratch Route of newF would
-// produce. With opt.StaticPatterns the initial pattern stage is a pure
-// function of the forest, and Incremental switches to an exact replay:
-// the returned result is byte-identical to Route(d, newF, freshGrid,
-// opt), while path construction is only paid for nets that moved (or
-// were previously patched by rip-up-and-reroute). prev must itself
-// have been produced in static mode (by Route or a previous
-// Incremental) on the same options.
+// Incremental is an exact replay and requires opt.StaticPatterns: the
+// initial pattern stage is then a pure function of the forest, so the
+// returned result is byte-identical to Route(d, newF, freshGrid, opt),
+// while path construction is only paid for nets that moved (or were
+// previously patched by rip-up-and-reroute). prev must itself have
+// been produced in static mode (by Route or a previous Incremental) on
+// the same options.
 func Incremental(d *netlist.Design, oldF, newF *rsmt.Forest, g *grid.Grid, prev *Result, opt Options) (*Result, int, error) {
+	if !opt.StaticPatterns {
+		return nil, 0, fmt.Errorf("route: incremental replay requires StaticPatterns")
+	}
 	changed, nChanged, err := changedNets(oldF, newF, g, prev)
 	if err != nil {
 		return nil, 0, err
 	}
-	if opt.StaticPatterns {
-		res, err := replayStatic(d, newF, g, prev, opt, changed)
-		return res, nChanged, err
-	}
 	r := &router{d: d, g: g, opt: opt}
+	res := &Result{Routes: make([]NetRoute, len(newF.Trees))}
 
-	res := &Result{Routes: make([]NetRoute, len(newF.Trees)), MazeReroutes: prev.MazeReroutes}
-
-	// Rip up changed nets: release 2D usage and per-layer bookings.
-	for ti, tr := range newF.Trees {
-		if !changed[ti] {
-			res.Routes[ti] = prev.Routes[ti]
-			continue
-		}
-		for ei := range prev.Routes[ti].Edges {
-			er := &prev.Routes[ti].Edges[ei]
-			r.commit(er.Cells, -1)
-			r.unassignLayers(er)
-		}
-		_ = tr
-	}
-
-	// Re-route changed nets under current congestion and re-assign layers.
-	for ti, tr := range newF.Trees {
-		if !changed[ti] {
-			continue
-		}
-		nr := NetRoute{Net: tr.Net}
+	// Phase 1: static pattern paths. Order-independent usage, so a
+	// plain net-order sweep reproduces Route's phase-1 grid state even
+	// when Route sorted by NetPriority. Unchanged nets whose initial path
+	// survived rip-up-and-reroute reuse their previous Cells slices, so
+	// path construction is proportional to the moved set; the remaining
+	// work is linear integer bookkeeping.
+	g.ResetUsage()
+	for ti := range newF.Trees {
+		tr := newF.Trees[ti]
+		nr := NetRoute{Net: tr.Net, Edges: make([]EdgeRoute, len(tr.Edges))}
 		for ei, e := range tr.Edges {
-			a := r.gcellOfNode(tr, int(e.A))
-			b := r.gcellOfNode(tr, int(e.B))
-			path := r.patternRoute(a, b)
-			if r.pathOverflow(path) > 0 {
-				if mp := r.mazeRoute(a, b); mp != nil {
-					path = mp
-					res.MazeReroutes++
-				}
+			var path []GP
+			if !changed[ti] && !prev.Routes[ti].Edges[ei].patched {
+				path = prev.Routes[ti].Edges[ei].Cells
+			} else {
+				a := r.gcellOfNode(tr, int(e.A))
+				b := r.gcellOfNode(tr, int(e.B))
+				path = r.patternRoute(a, b)
 			}
 			r.commit(path, +1)
-			er := EdgeRoute{TreeEdge: ei, Cells: path}
-			r.assignLayers(&er)
-			nr.Edges = append(nr.Edges, er)
+			nr.Edges[ei] = EdgeRoute{TreeEdge: ei, Cells: path}
 		}
 		res.Routes[ti] = nr
 	}
 
-	// Recompute tallies over the merged result.
+	// The grid state matches a fresh route's, so rip-up-and-reroute
+	// reproduces Route's sequence byte for byte.
+	r.ripUpAndReroute(res)
+
+	// Layer assignment in static mode is a pure per-step function of an
+	// edge's cells (grid.StaticLayer), so an edge whose path slice was
+	// reused verbatim keeps its previous layers and vias; only touched
+	// edges recompute. This is what keeps ChangedNets — and therefore
+	// the RC/STA refresh downstream — proportional to the moved set
+	// instead of avalanching through a usage-balancing assignment.
 	for ni := range res.Routes {
 		for ei := range res.Routes[ni].Edges {
 			er := &res.Routes[ni].Edges[ei]
+			pe := &prev.Routes[ni].Edges[ei]
+			if len(er.Cells) > 0 && len(pe.Cells) > 0 && &er.Cells[0] == &pe.Cells[0] {
+				er.Layers, er.Vias = pe.Layers, pe.Vias
+			} else {
+				r.assignLayers(er)
+			}
 			res.WirelengthDBU += int64(er.StepsDBU(g.GCellSize))
 			res.Vias += er.Vias
 		}
 	}
 	res.Overflow = g.TotalOverflow()
+
+	// Report the nets whose realization actually changed — the set
+	// downstream RC/STA must refresh. Reused Cells slices make the
+	// common case a pointer comparison.
+	for ni := range res.Routes {
+		if routesDiffer(&prev.Routes[ni], &res.Routes[ni]) {
+			res.ChangedNets = append(res.ChangedNets, netlist.NetID(ni))
+		}
+	}
 	return res, nChanged, nil
 }
 
@@ -123,99 +128,6 @@ func changedNets(oldF, newF *rsmt.Forest, g *grid.Grid, prev *Result) ([]bool, i
 	return changed, nChanged, nil
 }
 
-// replayStatic is the StaticPatterns incremental path: rebuild the
-// phase-1 state from scratch semantics (possible because static initial
-// paths are pure functions of edge endpoints), then replay rip-up/
-// reroute and layer assignment exactly as Route would on a fresh grid.
-// Unchanged nets whose initial path survived RRR reuse their previous
-// Cells slices, so path construction is proportional to the moved set;
-// the remaining work is linear integer bookkeeping.
-func replayStatic(d *netlist.Design, newF *rsmt.Forest, g *grid.Grid, prev *Result, opt Options, changed []bool) (*Result, error) {
-	r := &router{d: d, g: g, opt: opt}
-	res := &Result{Routes: make([]NetRoute, len(newF.Trees))}
-
-	// Phase 1: static pattern paths. Order-independent usage, so a
-	// plain net-order sweep reproduces Route's phase-1 grid state even
-	// when Route sorted by NetPriority.
-	g.ResetUsage()
-	for ti := range newF.Trees {
-		tr := newF.Trees[ti]
-		nr := NetRoute{Net: tr.Net, Edges: make([]EdgeRoute, len(tr.Edges))}
-		for ei, e := range tr.Edges {
-			var path []GP
-			if !changed[ti] && !prev.Routes[ti].Edges[ei].patched {
-				path = prev.Routes[ti].Edges[ei].Cells
-			} else {
-				a := r.gcellOfNode(tr, int(e.A))
-				b := r.gcellOfNode(tr, int(e.B))
-				path = r.patternRoute(a, b)
-			}
-			r.commit(path, +1)
-			nr.Edges[ei] = EdgeRoute{TreeEdge: ei, Cells: path}
-		}
-		res.Routes[ti] = nr
-	}
-
-	// Rip-up and reroute, byte-for-byte the sequence Route runs: the
-	// victim list is sorted deterministically and the grid state matches
-	// a fresh route's, so the maze searches reproduce exactly.
-	for round := 0; round < opt.RRRRounds; round++ {
-		if g.TotalOverflow() == 0 {
-			break // no overflowed grid edge ⇒ no victims; skip the O(wirelength) scan
-		}
-		victims := r.collectOverflowed(res)
-		if len(victims) == 0 {
-			break
-		}
-		for _, v := range victims {
-			er := &res.Routes[v.net].Edges[v.edge]
-			r.commit(er.Cells, -1)
-			start := er.Cells[0]
-			goal := er.Cells[len(er.Cells)-1]
-			path := r.mazeRoute(start, goal)
-			if path == nil {
-				path = r.patternRoute(start, goal)
-			} else {
-				res.MazeReroutes++
-			}
-			r.commit(path, +1)
-			er.Cells = path
-			er.patched = true
-		}
-	}
-
-	// Layer assignment in static mode is a pure per-step function of an
-	// edge's cells (grid.StaticLayer), so an edge whose path slice was
-	// reused verbatim keeps its previous layers and vias; only touched
-	// edges recompute. This is what keeps ChangedNets — and therefore
-	// the RC/STA refresh downstream — proportional to the moved set
-	// instead of avalanching through a usage-balancing assignment.
-	for ni := range res.Routes {
-		for ei := range res.Routes[ni].Edges {
-			er := &res.Routes[ni].Edges[ei]
-			pe := &prev.Routes[ni].Edges[ei]
-			if len(er.Cells) > 0 && len(pe.Cells) > 0 && &er.Cells[0] == &pe.Cells[0] {
-				er.Layers, er.Vias = pe.Layers, pe.Vias
-			} else {
-				r.assignLayers(er)
-			}
-			res.WirelengthDBU += int64(er.StepsDBU(g.GCellSize))
-			res.Vias += er.Vias
-		}
-	}
-	res.Overflow = g.TotalOverflow()
-
-	// Report the nets whose realization actually changed — the set
-	// downstream RC/STA must refresh. Reused Cells slices make the
-	// common case a pointer comparison.
-	for ni := range res.Routes {
-		if routesDiffer(&prev.Routes[ni], &res.Routes[ni]) {
-			res.ChangedNets = append(res.ChangedNets, netlist.NetID(ni))
-		}
-	}
-	return res, nil
-}
-
 // routesDiffer reports whether a net's realization (cells, layers or
 // vias) differs between two results.
 func routesDiffer(a, b *NetRoute) bool {
@@ -243,16 +155,4 @@ func routesDiffer(a, b *NetRoute) bool {
 		}
 	}
 	return false
-}
-
-// unassignLayers releases the per-layer bookings of a routed edge.
-func (r *router) unassignLayers(er *EdgeRoute) {
-	for i, l := range er.Layers {
-		a, b := er.Cells[i], er.Cells[i+1]
-		if a.Y == b.Y {
-			r.g.UnassignLayerH(l, min(a.X, b.X), a.Y)
-		} else {
-			r.g.UnassignLayerV(l, a.X, min(a.Y, b.Y))
-		}
-	}
 }

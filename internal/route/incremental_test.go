@@ -11,8 +11,16 @@ import (
 	"tsteiner/internal/synth"
 )
 
-// incrementalFixture routes a design, moves a few Steiner points by more
-// than a GCell, and returns everything Incremental needs.
+// staticOptions are the router defaults in StaticPatterns mode, the
+// mode Incremental requires.
+func staticOptions() Options {
+	opt := DefaultOptions()
+	opt.StaticPatterns = true
+	return opt
+}
+
+// incrementalFixture routes a design in static mode, moves a few Steiner
+// points by more than a GCell, and returns everything Incremental needs.
 func incrementalFixture(t *testing.T) (*netlist.Design, *rsmt.Forest, *rsmt.Forest, *grid.Grid, *Result) {
 	t.Helper()
 	spec, err := synth.BenchmarkByName("cic_decimator")
@@ -34,7 +42,7 @@ func incrementalFixture(t *testing.T) (*netlist.Design, *rsmt.Forest, *rsmt.Fore
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := Route(d, oldF, g, DefaultOptions())
+	prev, err := Route(d, oldF, g, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,7 @@ func incrementalFixture(t *testing.T) (*netlist.Design, *rsmt.Forest, *rsmt.Fore
 
 func TestIncrementalReroutesOnlyChangedNets(t *testing.T) {
 	d, oldF, newF, g, prev := incrementalFixture(t)
-	res, nChanged, err := Incremental(d, oldF, newF, g, prev, DefaultOptions())
+	res, nChanged, err := Incremental(d, oldF, newF, g, prev, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestIncrementalUsageConservation(t *testing.T) {
 	// After Incremental, grid usage must equal the usage of committing
 	// the merged result onto a fresh grid.
 	d, oldF, newF, g, prev := incrementalFixture(t)
-	res, _, err := Incremental(d, oldF, newF, g, prev, DefaultOptions())
+	res, _, err := Incremental(d, oldF, newF, g, prev, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +94,7 @@ func TestIncrementalUsageConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := &router{d: d, g: g2, opt: DefaultOptions()}
+	r2 := &router{d: d, g: g2, opt: staticOptions()}
 	for ni := range res.Routes {
 		for ei := range res.Routes[ni].Edges {
 			r2.commit(res.Routes[ni].Edges[ei].Cells, +1)
@@ -109,10 +117,10 @@ func TestIncrementalUsageConservation(t *testing.T) {
 }
 
 func TestIncrementalMatchesFullRouteMetrics(t *testing.T) {
-	// Incremental and a from-scratch route of newF won't be identical
-	// (ordering differs), but wirelength must agree closely.
+	// Incremental is an exact replay: its tallies equal a from-scratch
+	// route of newF.
 	d, oldF, newF, g, prev := incrementalFixture(t)
-	res, _, err := Incremental(d, oldF, newF, g, prev, DefaultOptions())
+	res, _, err := Incremental(d, oldF, newF, g, prev, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,19 +128,19 @@ func TestIncrementalMatchesFullRouteMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Route(d, newF, gFull, DefaultOptions())
+	full, err := Route(d, newF, gFull, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(res.WirelengthDBU) / float64(full.WirelengthDBU)
-	if ratio < 0.97 || ratio > 1.03 {
-		t.Fatalf("incremental WL diverges from full route: ratio %g", ratio)
+	if res.WirelengthDBU != full.WirelengthDBU || res.Vias != full.Vias || res.Overflow != full.Overflow {
+		t.Fatalf("incremental tallies (WL %d, vias %d, overflow %d) differ from full route (%d, %d, %d)",
+			res.WirelengthDBU, res.Vias, res.Overflow, full.WirelengthDBU, full.Vias, full.Overflow)
 	}
 }
 
 func TestIncrementalNoChangeIsIdentity(t *testing.T) {
 	d, oldF, _, g, prev := incrementalFixture(t)
-	res, nChanged, err := Incremental(d, oldF, oldF.Clone(), g, prev, DefaultOptions())
+	res, nChanged, err := Incremental(d, oldF, oldF.Clone(), g, prev, staticOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +155,11 @@ func TestIncrementalNoChangeIsIdentity(t *testing.T) {
 func TestIncrementalValidation(t *testing.T) {
 	d, oldF, newF, g, prev := incrementalFixture(t)
 	short := &rsmt.Forest{Trees: newF.Trees[:1]}
-	if _, _, err := Incremental(d, oldF, short, g, prev, DefaultOptions()); err == nil {
+	if _, _, err := Incremental(d, oldF, short, g, prev, staticOptions()); err == nil {
 		t.Fatal("mismatched forests accepted")
+	}
+	// Only the static pattern mode can be replayed exactly.
+	if _, _, err := Incremental(d, oldF, newF, g, prev, DefaultOptions()); err == nil {
+		t.Fatal("non-static options accepted")
 	}
 }

@@ -30,7 +30,7 @@ type EdgeRoute struct {
 	Vias     int
 	// patched records that rip-up-and-reroute replaced the initial
 	// pattern path, so Cells is no longer the pure function of the edge
-	// endpoints that static-mode incremental replay could reuse.
+	// endpoints that incremental replay could reuse.
 	patched bool
 }
 
@@ -61,7 +61,7 @@ type Result struct {
 	MazeReroutes int
 	// ChangedNets lists, in ascending net-ID order, the nets whose final
 	// realization (cells, layers or vias) differs from the previous
-	// result. Populated only by static-mode Incremental; nil otherwise.
+	// result. Populated only by Incremental; nil otherwise.
 	// This is the exact set downstream RC extraction and windowed STA
 	// must refresh.
 	ChangedNets []netlist.NetID
@@ -86,10 +86,10 @@ type Options struct {
 	// pure function of the edge endpoints (a deterministic L whose
 	// corner is picked by coordinate parity). Phase-1 grid usage then
 	// depends only on the forest — not on net order or routing history —
-	// which is what lets Incremental replay a routing exactly: under
-	// this mode its result is byte-identical to a from-scratch Route of
-	// the new forest. Used by the sharded refinement loop; the default
-	// (congestion-probing) mode is unchanged.
+	// which is what lets Incremental replay a routing exactly: its result
+	// is byte-identical to a from-scratch Route of the new forest.
+	// Incremental requires it; the sharded refinement loop sets it.
+	// Without it, the pattern stage probes congestion.
 	StaticPatterns bool
 }
 
@@ -137,9 +137,35 @@ func Route(d *netlist.Design, f *rsmt.Forest, g *grid.Grid, opt Options) (*Resul
 		res.Routes[ti] = nr
 	}
 
-	// Rip-up and reroute congested paths.
-	for round := 0; round < opt.RRRRounds; round++ {
-		if g.TotalOverflow() == 0 {
+	r.ripUpAndReroute(res)
+
+	// Layer assignment and tallies.
+	for ni := range res.Routes {
+		for ei := range res.Routes[ni].Edges {
+			er := &res.Routes[ni].Edges[ei]
+			r.assignLayers(er)
+			res.WirelengthDBU += int64(er.StepsDBU(g.GCellSize))
+			res.Vias += er.Vias
+		}
+	}
+	res.Overflow = g.TotalOverflow()
+	return res, nil
+}
+
+type router struct {
+	d   *netlist.Design
+	g   *grid.Grid
+	opt Options
+}
+
+// ripUpAndReroute rips up every path crossing an over-capacity grid edge
+// and reroutes it with the maze search (pattern fallback), for up to
+// RRRRounds rounds. The victim list is sorted deterministically, so the
+// sequence depends only on the grid state and res — which is what lets
+// static-mode Incremental reproduce Route's sequence exactly.
+func (r *router) ripUpAndReroute(res *Result) {
+	for round := 0; round < r.opt.RRRRounds; round++ {
+		if r.g.TotalOverflow() == 0 {
 			break // no overflowed grid edge ⇒ no victims; skip the O(wirelength) scan
 		}
 		victims := r.collectOverflowed(res)
@@ -162,24 +188,6 @@ func Route(d *netlist.Design, f *rsmt.Forest, g *grid.Grid, opt Options) (*Resul
 			er.patched = true
 		}
 	}
-
-	// Layer assignment and tallies.
-	for ni := range res.Routes {
-		for ei := range res.Routes[ni].Edges {
-			er := &res.Routes[ni].Edges[ei]
-			r.assignLayers(er)
-			res.WirelengthDBU += int64(er.StepsDBU(g.GCellSize))
-			res.Vias += er.Vias
-		}
-	}
-	res.Overflow = g.TotalOverflow()
-	return res, nil
-}
-
-type router struct {
-	d   *netlist.Design
-	g   *grid.Grid
-	opt Options
 }
 
 func (r *router) gcellOfNode(tr *rsmt.Tree, idx int) GP {

@@ -15,16 +15,16 @@ import (
 	"tsteiner/internal/guard"
 	"tsteiner/internal/guard/fault"
 	"tsteiner/internal/lib"
-	"tsteiner/internal/netlist"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/shard"
 	"tsteiner/internal/train"
 )
 
 // Runner executes one job from its spooled request. It is the single
-// execution path behind both the daemon's workers and the CLI's local
-// job mode, which is what makes the byte-identity gate meaningful:
-// "server concurrent" and "CLI serial" literally share this code.
+// execution path behind the daemon's workers; the byte-identity tests
+// run their serial reference through a bare Runner, which is what makes
+// that gate meaningful: "server concurrent" and "serial" literally
+// share this code.
 //
 // Fault sites (deterministic, nil injector = production):
 //
@@ -104,7 +104,7 @@ func (rn *Runner) Run(req *JobRequest) (*JobResult, error) {
 	cfg.Corners = req.Corners
 
 	var prepared *flow.Prepared
-	if hasPlacement(d) {
+	if flow.HasPlacement(d) {
 		prepared, err = flow.PrepareKeepPlacement(d, l, cfg)
 	} else {
 		prepared, err = flow.Prepare(d, l, cfg)
@@ -389,21 +389,6 @@ func metricsOf(r *flow.Report) Metrics {
 		DRVs:          r.DRVs,
 		Overflow:      r.Overflow,
 	}
-}
-
-// hasPlacement reports whether any cell carries a non-origin position
-// (mirrors cmd/runflow's heuristic: such designs keep their placement).
-func hasPlacement(d *netlist.Design) bool {
-	if d.Die.Empty() || d.Die.Width() == 0 {
-		return false
-	}
-	for ci := range d.Cells {
-		p := d.Cells[ci].Pos
-		if p.X != 0 || p.Y != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func fileExists(path string) bool {

@@ -538,6 +538,7 @@ func TestServeJobValidation(t *testing.T) {
 		"huge epochs":  `{"ID":"x","Kind":"signoff","Design":{},"Epochs":99999999}`,
 		"huge lanes":   `{"ID":"lanes","Kind":"refine","Design":{},"Lanes":16777216}`,
 		"huge augment": `{"ID":"augment","Kind":"refine","Design":{},"AugmentVariants":1048576}`,
+		"huge corner":  `{"ID":"corner","Kind":"signoff","Design":{},"Corners":[{"Name":"huge","DelayScale":1e308,"SlewScale":1,"ClockScale":1}]}`,
 	} {
 		if rec := post(body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, rec.Code)

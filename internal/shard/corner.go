@@ -21,15 +21,8 @@ func cornerSet(corners []sta.Corner) ([]sta.Corner, bool, error) {
 	if len(corners) == 0 {
 		return []sta.Corner{sta.TypicalCorner()}, false, nil
 	}
-	seen := make(map[string]bool, len(corners))
-	for _, c := range corners {
-		if err := c.Validate(); err != nil {
-			return nil, false, fmt.Errorf("shard: %w", err)
-		}
-		if seen[c.Name] {
-			return nil, false, fmt.Errorf("shard: duplicate corner %q", c.Name)
-		}
-		seen[c.Name] = true
+	if err := sta.ValidateCorners(corners); err != nil {
+		return nil, false, fmt.Errorf("shard: %w", err)
 	}
 	return corners, true, nil
 }

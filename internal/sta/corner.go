@@ -10,7 +10,6 @@ package sta
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -59,9 +58,20 @@ func (c Corner) IsTypical() bool {
 	return c.DelayScale == 1.0 && c.SlewScale == 1.0 && c.ClockScale == 1.0
 }
 
+// minCornerScale and maxCornerScale bound every corner scale. A uniform
+// derating far outside the presets' 0.85–1.15 (test corners reach
+// 0.7–2.0) is a typo or a hostile input, not a process corner, and
+// near-overflow scales such as 1e308 turn slacks into ±Inf that no
+// result encoder can write — the job would fail only after all its work
+// was done.
+const (
+	minCornerScale = 1.0 / 16
+	maxCornerScale = 16.0
+)
+
 // Validate rejects corners that would corrupt the analysis: scales must
-// be positive and finite, and the name non-empty (results are keyed on
-// it in reports).
+// lie in [minCornerScale, maxCornerScale], and the name must be
+// non-empty (results are keyed on it in reports).
 func (c Corner) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("sta: corner with empty name")
@@ -70,8 +80,8 @@ func (c Corner) Validate() error {
 		name string
 		v    float64
 	}{{"DelayScale", c.DelayScale}, {"SlewScale", c.SlewScale}, {"ClockScale", c.ClockScale}} {
-		if !(s.v > 0) || math.IsInf(s.v, 1) {
-			return fmt.Errorf("sta: corner %q: %s %v not in (0, +Inf)", c.Name, s.name, s.v)
+		if !(s.v >= minCornerScale && s.v <= maxCornerScale) {
+			return fmt.Errorf("sta: corner %q: %s %v not in [%v, %v]", c.Name, s.name, s.v, minCornerScale, maxCornerScale)
 		}
 	}
 	return nil
@@ -109,21 +119,19 @@ func ParseCorners(spec string) ([]Corner, error) {
 				}
 				*dst = v
 			}
-			if err := c.Validate(); err != nil {
-				return nil, err
-			}
 			out = append(out, c)
 		}
 	}
-	if err := validateCorners(out); err != nil {
+	if err := ValidateCorners(out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// validateCorners checks each corner and rejects duplicate names (the
-// matrix is keyed on them).
-func validateCorners(corners []Corner) error {
+// ValidateCorners checks a non-empty corner list: each corner must pass
+// Validate and names must be unique (the matrix is keyed on them). It is
+// the one corner-list check every layer that accepts corners calls.
+func ValidateCorners(corners []Corner) error {
 	if len(corners) == 0 {
 		return fmt.Errorf("sta: empty corner list")
 	}
@@ -154,7 +162,7 @@ func RunCorner(d *netlist.Design, rcs []rc.NetRC, c Corner) (*Result, error) {
 // one Result per corner in input order. Deterministic by construction:
 // corners are independent and analyzed sequentially.
 func RunCorners(d *netlist.Design, rcs []rc.NetRC, corners []Corner) ([]*Result, error) {
-	if err := validateCorners(corners); err != nil {
+	if err := ValidateCorners(corners); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(corners))

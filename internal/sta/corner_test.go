@@ -163,7 +163,7 @@ func TestParseCorners(t *testing.T) {
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("custom corner parsed to %+v, want %+v", got, want)
 	}
-	for _, bad := range []string{"", "warm", "hot:1.2:1.05", "hot:x:1:1", "hot:0:1:1", "fast,,slow", "fast,fast"} {
+	for _, bad := range []string{"", "warm", "hot:1.2:1.05", "hot:x:1:1", "hot:0:1:1", "fast,,slow", "fast,fast", "x:1e308:1:1"} {
 		if _, err := ParseCorners(bad); err == nil {
 			t.Fatalf("ParseCorners(%q) succeeded", bad)
 		}

@@ -143,12 +143,14 @@ if "$OBS_TMP/tracestat" -diff -min-ms 1 \
   exit 1
 fi
 
-# Fuzz smoke: 10 s per byte-level decoder. -run '^$' skips unit tests;
+# Fuzz smoke: 10 s per byte-level decoder, tsteinerd's job-request
+# decode + Normalize + Validate included. -run '^$' skips unit tests;
 # bounded minimization keeps single-core runs productive.
 go test -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime=5x ./internal/guard/
 go test -run '^$' -fuzz FuzzLoadDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzReadForestJSON -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime=5x ./internal/gnn/
+go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s -fuzzminimizetime=5x ./internal/serve/
 
 # Refresh the per-package coverage baseline.
 {
