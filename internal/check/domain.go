@@ -182,6 +182,22 @@ func DesignSpecs() Gen[DesignSpec] {
 	}
 }
 
+// InverterChain builds PI → n INV_X1 cells → PO against the default
+// library, unplaced (flow.Prepare places it). Every net has two pins, so
+// none of its Steiner trees holds a Steiner point: the evaluator's
+// moving half is empty and refinement has nothing to move.
+func InverterChain(n int) (*netlist.Design, error) {
+	b := netlist.NewBuilder(fmt.Sprintf("inv_chain_%d", n), lib.Default())
+	drv := b.AddPI("in")
+	for i := 0; i < n; i++ {
+		inv := b.Design().Cell(b.AddCell(fmt.Sprintf("inv%d", i), "INV_X1"))
+		b.Connect(drv, inv.InputPins()[0])
+		drv = inv.OutputPin()
+	}
+	b.Connect(drv, b.AddPO("out", 0.002))
+	return b.Finish()
+}
+
 // Rand adapts the framework RNG into a math/rand source for APIs that
 // take *rand.Rand (e.g. rsmt.Perturb), preserving seed determinism.
 func (r *RNG) Rand() *rand.Rand { return rand.New(rand.NewSource(r.Int63())) }

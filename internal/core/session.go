@@ -7,8 +7,17 @@ import (
 )
 
 // evalSession is the refiner's workspace-backed evaluation state: one
-// tensor arena reused across iterations plus a memo of the last
-// candidate pass, keyed by its lanes' exact Steiner coordinates.
+// tensor arena reused across iterations, the batch's frozen rows, and a
+// memo of the last candidate pass, keyed by its lanes' exact Steiner
+// coordinates.
+//
+// The model's weights stay fixed for the refiner's lifetime, so the trees
+// that hold no Steiner variable evaluate to the same net caps and wire
+// deltas at every coordinate set: the session freezes them once
+// (gnn.Model.Freeze) and every forward it runs evaluates the Steiner
+// stage on the moving trees only, bit-identical to the full forward the
+// allocating path runs.
+//
 // Algorithm 1 evaluates candidates (evalCandidates, and evalMetrics as a
 // one-lane pass) and, when one is accepted, asks for gradients at the
 // very same positions next iteration — the memo turns that second
@@ -25,12 +34,13 @@ import (
 type evalSession struct {
 	r  *Refiner
 	ws *tensor.Workspace
+	fz *gnn.Frozen
 
 	// curX/curY stage a forest's coordinates for forwards and memo
 	// lookups.
 	curX, curY []float64
 
-	// Candidate memo: the last ForwardBatch's tape with its lane-major
+	// Candidate memo: the last forwardBatch's tape with its lane-major
 	// coordinates (valid while bp != nil). laneGradients serves a
 	// gradient request whose coordinates are bit-identical to one lane
 	// by appending the penalty and backward-propagating a lane slice.
@@ -40,25 +50,31 @@ type evalSession struct {
 	bp     *gnn.BatchPrediction
 }
 
-func newEvalSession(r *Refiner) *evalSession {
+func newEvalSession(r *Refiner) (*evalSession, error) {
+	ws := tensor.NewWorkspace()
+	fz, err := r.Model.Freeze(ws.Tape(), r.Batch)
+	if err != nil {
+		return nil, err
+	}
 	n := r.Batch.NSteiner
 	return &evalSession{
-		r:    r,
-		ws:   tensor.NewWorkspace(),
+		r: r, ws: ws, fz: fz,
 		curX: make([]float64, n), curY: make([]float64, n),
-	}
+	}, nil
 }
 
 // session returns the refiner's lazily-built evaluation session, or nil
 // when Options.DisableWorkspace selects the allocating reference path.
-func (r *Refiner) session() *evalSession {
-	if r.Opt.DisableWorkspace {
-		return nil
+func (r *Refiner) session() (*evalSession, error) {
+	if r.Opt.DisableWorkspace || r.sess != nil {
+		return r.sess, nil
 	}
-	if r.sess == nil {
-		r.sess = newEvalSession(r)
+	s, err := newEvalSession(r)
+	if err != nil {
+		return nil, err
 	}
-	return r.sess
+	r.sess = s
+	return s, nil
 }
 
 // invalidate drops the memoized candidate pass (the workspace storage
@@ -76,13 +92,13 @@ func sliceEq(a, b []float64) bool {
 	return true
 }
 
-// forwardBatch runs one fused K-lane forward at the staged candidate
-// coordinates (lane-major), memoizing the tape so a following gradient
-// request at one lane's exact coordinates can reuse it.
+// forwardBatch runs one fused K-lane frozen forward at the staged
+// candidate coordinates (lane-major), memoizing the tape so a following
+// gradient request at one lane's exact coordinates can reuse it.
 func (s *evalSession) forwardBatch(lanes int, laneXs, laneYs []float64) (*gnn.BatchPrediction, error) {
 	s.invalidate()
 	tp := s.ws.Tape()
-	bp, err := s.r.Model.ForwardBatch(tp, s.r.Batch, lanes, laneXs, laneYs, false)
+	bp, err := s.fz.ForwardBatch(tp, lanes, laneXs, laneYs)
 	if err != nil {
 		return nil, err
 	}

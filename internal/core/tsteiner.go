@@ -116,12 +116,16 @@ type Options struct {
 
 	// DisableWorkspace selects the allocating reference evaluation path
 	// instead of the pooled workspace path: a fresh tape per forward, no
-	// lane memo, and K sequential forwards instead of one fused
-	// candidate pass. Both are byte-identical (the differential gates
+	// lane memo, K sequential forwards instead of one fused candidate
+	// pass, and the full-graph forward instead of the frozen one. The
+	// pooled path freezes, once per refiner, the net caps and wire deltas
+	// of the trees that hold no Steiner point, and runs the Steiner stage
+	// on the other trees only (gnn.Model.Freeze). Both paths are
+	// byte-identical (the differential gates
 	// TestWorkspaceForwardMatchesAllocating and
-	// TestBatchedRefineMatchesSequential hold them together); the flag
-	// exists for those gates and for the bench harness's before/after
-	// comparison.
+	// TestBatchedRefineMatchesSequential hold them together, so they also
+	// hold the frozen forward to the full graph); the flag exists for
+	// those gates and for the bench harness's before/after comparison.
 	DisableWorkspace bool
 
 	// CandidateLanes sets the number K of candidate steps evaluated per
@@ -238,26 +242,39 @@ func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 	return w[0], t[0], nil
 }
 
-// forward runs the evaluator at f's positions: on the session's pooled
-// tape, or on a fresh allocating tape when Options.DisableWorkspace
-// selects the reference path.
-func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys *tensor.Tensor, pred *gnn.Prediction, err error) {
-	var cx, cy []float64
-	if s := r.session(); s != nil {
-		s.invalidate() // the tape reset reclaims the lane memo's storage
-		tp, cx, cy = s.ws.Tape(), s.curX, s.curY
-	} else {
-		n := r.Batch.NSteiner
-		tp, cx, cy = tensor.NewTape(), make([]float64, n), make([]float64, n)
+// forward runs the evaluator at f's positions: the session's frozen
+// forward on its pooled tape, or the full forward on a fresh allocating
+// tape when Options.DisableWorkspace selects the reference path.
+func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys, slack *tensor.Tensor, err error) {
+	s, err := r.session()
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
+	if s != nil {
+		s.invalidate() // the tape reset reclaims the lane memo's storage
+		tp = s.ws.Tape()
+		if err := r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
+			return nil, nil, nil, nil, err
+		}
+		bp, err := s.fz.ForwardBatch(tp, 1, s.curX, s.curY)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		return tp, bp.Xs, bp.Ys, bp.Slack, nil
+	}
+	n := r.Batch.NSteiner
+	tp, cx, cy := tensor.NewTape(), make([]float64, n), make([]float64, n)
 	if err := r.Batch.FillSteinerCoords(f, cx, cy); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if xs, ys, err = r.Batch.LeavesFromCoords(tp, cx, cy); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
-	return tp, xs, ys, pred, err
+	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return tp, xs, ys, pred.Slack, nil
 }
 
 // gradients computes (∇_Xs P, ∇_Ys P) at the forest's current positions
@@ -265,7 +282,11 @@ func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys *tensor.Tenso
 // the forward pass as well (free for callers, logged by telemetry).
 func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, err error) {
 	r.sink().Add("core.grad_calls", 1)
-	if s := r.session(); s != nil {
+	s, err := r.session()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if s != nil {
 		// The last candidate pass may hold the forward at f's exact
 		// coordinates in one of its lanes; extracting the lane's gradient
 		// there skips the whole forward.
@@ -273,11 +294,11 @@ func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, p
 			return gx, gy, pval, lerr
 		}
 	}
-	tp, xs, ys, pred, err := r.forward(f)
+	tp, xs, ys, slack, err := r.forward(f)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	p, err := r.penaltyMatrixOn(tp, pred.Slack, lw, lt)
+	p, err := r.penaltyMatrixOn(tp, slack, lw, lt)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -342,11 +363,11 @@ func (r *Refiner) penaltyOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt float6
 // forest's current positions without computing gradients.
 func (r *Refiner) Penalty(f *rsmt.Forest) (float64, error) {
 	r.sink().Add("core.penalty_evals", 1)
-	tp, _, _, pred, err := r.forward(f)
+	tp, _, _, slack, err := r.forward(f)
 	if err != nil {
 		return 0, err
 	}
-	p, err := r.penaltyMatrixOn(tp, pred.Slack, r.Opt.LambdaW, r.Opt.LambdaT)
+	p, err := r.penaltyMatrixOn(tp, slack, r.Opt.LambdaW, r.Opt.LambdaT)
 	if err != nil {
 		return 0, err
 	}
@@ -805,12 +826,16 @@ func (r *Refiner) stageCandidates(lanes int, baseX, baseY, dx, dy, x0, y0 []floa
 }
 
 // evalCandidates produces the hard metrics of the staged candidates: one
-// fused ForwardBatch over all lanes on the session path, K plain forwards
-// on the allocating reference path — byte-identical per lane by the
-// tensor package's lane contract.
+// fused frozen forward over all lanes on the session path, K plain full
+// forwards on the allocating reference path — byte-identical per lane by
+// the tensor package's lane contract and the frozen forward's.
 func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) error {
 	r.sink().Add("core.evals", int64(lanes))
-	if s := r.session(); s != nil {
+	s, err := r.session()
+	if err != nil {
+		return err
+	}
+	if s != nil {
 		t0 := time.Now()
 		bp, err := s.forwardBatch(lanes, laneXs, laneYs)
 		if err != nil {

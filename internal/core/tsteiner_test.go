@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"tsteiner/internal/check"
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
+	"tsteiner/internal/lib"
 	"tsteiner/internal/train"
 )
 
@@ -209,6 +212,52 @@ func TestRefineDoesNotMutatePreparedForest(t *testing.T) {
 	for i := range xs0 {
 		if xs0[i] != xs1[i] || ys0[i] != ys1[i] {
 			t.Fatal("Refine mutated the prepared forest")
+		}
+	}
+}
+
+// TestRefineWithoutSteinerPoints runs the refiner on a design whose trees
+// hold no Steiner point: every tree is frozen, so each forward evaluates
+// an empty moving half (zero-row Linear, GatherRows and SegmentSum) and
+// each gradient is empty. Refinement must return the start forest
+// without error, on the fused and the allocating path alike.
+func TestRefineWithoutSteinerPoints(t *testing.T) {
+	d, err := check.InverterChain(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := flow.Prepare(d, lib.Default(), flow.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gnn.NewBatch(p.Design, p.Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NSteiner != 0 {
+		t.Fatalf("inverter chain has %d Steiner vars, want 0", b.NSteiner)
+	}
+	m := gnn.NewModel(gnn.DefaultConfig(), 5)
+	for _, lanes := range []int{1, 4} {
+		for _, disableWS := range []bool{false, true} {
+			opt := DefaultOptions()
+			opt.CandidateLanes = lanes
+			opt.DisableWorkspace = disableWS
+			r, err := NewRefiner(m, b, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Refine()
+			if err != nil {
+				t.Fatalf("lanes %d, allocating %v: %v", lanes, disableWS, err)
+			}
+			if !reflect.DeepEqual(res.Forest, p.Forest) {
+				t.Fatalf("lanes %d, allocating %v: refined forest differs from the start forest", lanes, disableWS)
+			}
+			if res.BestWNS != res.InitWNS || res.BestTNS != res.InitTNS {
+				t.Fatalf("lanes %d, allocating %v: best (%v,%v) moved from init (%v,%v) with nothing to move",
+					lanes, disableWS, res.BestWNS, res.BestTNS, res.InitWNS, res.InitTNS)
+			}
 		}
 	}
 }

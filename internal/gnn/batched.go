@@ -80,6 +80,11 @@ func (b *Batch) LeavesFromCoordsBatch(tp *tensor.Tape, lanes int, xs, ys []float
 // k alone. With lanes == 1 this IS Forward modulo the lane wrapper, so
 // there is no separate code path to keep in sync.
 func (m *Model) ForwardBatch(tp *tensor.Tape, b *Batch, lanes int, coordsX, coordsY []float64, trainParams bool) (*BatchPrediction, error) {
+	return m.forwardBatch(tp, b, nil, lanes, coordsX, coordsY, trainParams)
+}
+
+// forwardBatch is ForwardBatch with optional frozen rows (see forward).
+func (m *Model) forwardBatch(tp *tensor.Tape, b *Batch, fz *Frozen, lanes int, coordsX, coordsY []float64, trainParams bool) (*BatchPrediction, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("gnn: ForwardBatch needs lanes >= 1, got %d", lanes)
 	}
@@ -87,7 +92,7 @@ func (m *Model) ForwardBatch(tp *tensor.Tape, b *Batch, lanes int, coordsX, coor
 	if err != nil {
 		return nil, err
 	}
-	p, err := m.Forward(tp, b, xs, ys, trainParams)
+	p, err := m.forward(tp, b, fz, xs, ys, trainParams)
 	if err != nil {
 		return nil, err
 	}

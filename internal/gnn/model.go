@@ -182,6 +182,20 @@ type Prediction struct {
 // tensors (leaves when gradients are wanted, constants otherwise);
 // trainParams controls whether model parameters join the tape as leaves.
 func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainParams bool) (*Prediction, error) {
+	return m.forward(tp, b, nil, xs, ys, trainParams)
+}
+
+// forward is the one evaluation body behind Forward, ForwardBatch and
+// Frozen.ForwardBatch. With fz nil it evaluates the whole graph. With fz
+// set, the Steiner stage and the wire head run on fz's moving sub-batch
+// only and the frozen rows merge in (see frozen.go); register launch and
+// level propagation always run on the whole batch.
+//
+// The op order is part of the result: register launch is recorded before
+// the wire head, and both read the same net-capacitance tensor as the
+// levels, so every gradient buffer accumulates its terms in one fixed
+// order whether or not rows are frozen.
+func (m *Model) forward(tp *tensor.Tape, b *Batch, fz *Frozen, xs, ys *tensor.Tensor, trainParams bool) (*Prediction, error) {
 	attach := tp.Constant
 	if trainParams {
 		attach = tp.Leaf
@@ -189,45 +203,73 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 	for _, p := range m.Params() {
 		attach(p)
 	}
-
-	// ---- engineered differentiable parasitics ----
-	ft, err := steinerFeatures(tp, b, xs, ys)
+	sb := b
+	if fz != nil {
+		sb = fz.moving
+	}
+	st, err := m.steinerStage(tp, sb, xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	elmS, pathS, netCap := ft.elmS, ft.pathS, ft.netCap
+	arr, err := m.launch(tp, b, st.netCap)
+	if err != nil {
+		return nil, err
+	}
+	wireDelta, err := m.wireHead(tp, sb, st)
+	if err != nil {
+		return nil, err
+	}
+	if fz != nil {
+		if wireDelta, err = fz.mergeWireDelta(tp, wireDelta); err != nil {
+			return nil, err
+		}
+	}
+	return m.propagate(tp, b, arr, wireDelta, st.netCap)
+}
+
+// stage is the output of the Steiner stage: per-node embeddings, the
+// per-sink engineered parasitics and the per-net capacitance.
+type stage struct {
+	h           *tensor.Tensor
+	elmS, pathS *tensor.Tensor
+	netCap      *tensor.Tensor
+}
+
+// steinerStage runs the evaluator's Steiner-graph half on sb: the
+// engineered parasitics, the netlist-only override, and message passing.
+// Every row it produces depends on its own tree alone.
+func (m *Model) steinerStage(tp *tensor.Tape, sb *Batch, xs, ys *tensor.Tensor) (stage, error) {
+	ft, err := steinerFeatures(tp, sb, xs, ys)
+	if err != nil {
+		return stage{}, err
+	}
+	st := stage{elmS: ft.elmS, pathS: ft.pathS, netCap: ft.netCap}
 
 	// Netlist-only variant: strip every tree-derived feature, leaving the
 	// HPWL-based estimates a pre-routing predictor without Steiner
 	// awareness would use (paper reference [13] class). Combined with
 	// MPIters=0 the model becomes fully Steiner-blind.
 	if m.Cfg.NoSteinerFeatures {
-		nSinks := len(b.SinkSinkPin)
-		elmS = tp.Zeros(nSinks, 1)
-		pathS = tp.Zeros(nSinks, 1)
-		hp, err := tp.Alias(len(b.NetHPWL), 1, b.NetHPWL)
+		nSinks := len(sb.SinkSinkPin)
+		st.elmS = tp.Zeros(nSinks, 1)
+		st.pathS = tp.Zeros(nSinks, 1)
+		hp, err := tp.Alias(len(sb.NetHPWL), 1, sb.NetHPWL)
 		if err != nil {
-			return nil, err
+			return stage{}, err
 		}
-		hpCap, err := tp.Scale(hp, b.CAvg)
+		hpCap, err := tp.Scale(hp, sb.CAvg)
 		if err != nil {
-			return nil, err
+			return stage{}, err
 		}
-		pinCapT, _ := tp.Alias(len(b.PinCapSumTree), 1, b.PinCapSumTree)
-		netCap, err = tp.Add(hpCap, pinCapT)
-		if err != nil {
-			return nil, err
+		pinCapT, _ := tp.Alias(len(sb.PinCapSumTree), 1, sb.PinCapSumTree)
+		if st.netCap, err = tp.Add(hpCap, pinCapT); err != nil {
+			return stage{}, err
 		}
 	}
 
 	// ---- Steiner-graph message passing ----
-	h, err := m.steinerMP(tp, b, ft.nodeX, ft.nodeY, ft.lenE, elmS, pathS)
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- netlist propagation ----
-	return m.propagate(tp, b, h, elmS, pathS, netCap)
+	st.h, err = m.steinerMP(tp, sb, ft.nodeX, ft.nodeY, ft.lenE, st.elmS, st.pathS)
+	return st, err
 }
 
 // features is the evaluator's first stage (Fig. 3): the tree geometry
@@ -437,76 +479,77 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 	return h, nil
 }
 
-// propagate walks netlist levels, predicting wire deltas for net sinks and
-// cell deltas (with a smooth max over fanin) for cell outputs.
-func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *tensor.Tensor) (*Prediction, error) {
+// launch seeds the per-pin arrival tensor with the register launches:
+// arrival at Q = f(arc consts, net load).
+func (m *Model) launch(tp *tensor.Tape, b *Batch, netCap *tensor.Tensor) (*tensor.Tensor, error) {
 	arr := tp.Zeros(b.NPins, 1)
-
-	// Register launches: arrival at Q = f(arc consts, net load).
-	if len(b.QPins) > 0 {
-		qf, err := tp.Alias(len(b.QPins), 2, b.QFeats)
-		if err != nil {
-			return nil, err
-		}
-		qcap, err := tp.GatherRows(netCap, b.QNet)
-		if err != nil {
-			return nil, err
-		}
-		qcapn, _ := tp.Scale(qcap, 20) // pF → O(1)
-		qin, err := tp.ConcatCols(qf, qcapn)
-		if err != nil {
-			return nil, err
-		}
-		ql1, err := tp.Linear(qin, m.WQ1, m.BQ1)
-		if err != nil {
-			return nil, err
-		}
-		qa, err := tp.Tanh(ql1)
-		if err != nil {
-			return nil, err
-		}
-		ql2, err := tp.Linear(qa, m.WQ2, m.BQ2)
-		if err != nil {
-			return nil, err
-		}
-		qres, err := tp.Softplus(ql2)
-		if err != nil {
-			return nil, err
-		}
-		// Anchor: CK→Q ≈ d0 + slope·load, with a learned unit-init gain.
-		qAnchor, err := m.anchoredDelay(tp, b.QD0, b.QSlope, qcap, m.PQ)
-		if err != nil {
-			return nil, err
-		}
-		qd, err := tp.Add(qAnchor, qres)
-		if err != nil {
-			return nil, err
-		}
-		upd, err := tp.SegmentSum(qd, b.QPins, b.NPins)
-		if err != nil {
-			return nil, err
-		}
-		arr, err = tp.Add(arr, upd)
-		if err != nil {
-			return nil, err
-		}
+	if len(b.QPins) == 0 {
+		return arr, nil
 	}
-
-	elmSn, err := tp.Scale(elmS, b.ElmScale)
+	qf, err := tp.Alias(len(b.QPins), 2, b.QFeats)
 	if err != nil {
 		return nil, err
 	}
-	pathSn, _ := tp.Scale(pathS, b.LenScale)
-	distS, _ := tp.Alias(len(b.SinkDistDirect), 1, b.SinkDistDirect)
-	distSn, _ := tp.Scale(distS, b.LenScale)
-	capS, err := tp.GatherRows(netCap, b.SinkNet)
+	qcap, err := tp.GatherRows(netCap, b.QNet)
+	if err != nil {
+		return nil, err
+	}
+	qcapn, _ := tp.Scale(qcap, 20) // pF → O(1)
+	qin, err := tp.ConcatCols(qf, qcapn)
+	if err != nil {
+		return nil, err
+	}
+	ql1, err := tp.Linear(qin, m.WQ1, m.BQ1)
+	if err != nil {
+		return nil, err
+	}
+	qa, err := tp.Tanh(ql1)
+	if err != nil {
+		return nil, err
+	}
+	ql2, err := tp.Linear(qa, m.WQ2, m.BQ2)
+	if err != nil {
+		return nil, err
+	}
+	qres, err := tp.Softplus(ql2)
+	if err != nil {
+		return nil, err
+	}
+	// Anchor: CK→Q ≈ d0 + slope·load, with a learned unit-init gain.
+	qAnchor, err := m.anchoredDelay(tp, b.QD0, b.QSlope, qcap, m.PQ)
+	if err != nil {
+		return nil, err
+	}
+	qd, err := tp.Add(qAnchor, qres)
+	if err != nil {
+		return nil, err
+	}
+	upd, err := tp.SegmentSum(qd, b.QPins, b.NPins)
+	if err != nil {
+		return nil, err
+	}
+	return tp.Add(arr, upd)
+}
+
+// wireHead predicts the wire delta of every sink of sb, in sb's sink
+// order. st.netCap is indexed by the global tree ids sb.SinkNet holds.
+func (m *Model) wireHead(tp *tensor.Tape, sb *Batch, st stage) (*tensor.Tensor, error) {
+	elmS, pathS := st.elmS, st.pathS
+	elmSn, err := tp.Scale(elmS, sb.ElmScale)
+	if err != nil {
+		return nil, err
+	}
+	pathSn, _ := tp.Scale(pathS, sb.LenScale)
+	distS, _ := tp.Alias(len(sb.SinkDistDirect), 1, sb.SinkDistDirect)
+	distSn, _ := tp.Scale(distS, sb.LenScale)
+	capS, err := tp.GatherRows(st.netCap, sb.SinkNet)
 	if err != nil {
 		return nil, err
 	}
 	capSn, _ := tp.Scale(capS, 20)
 
 	// Precompute full per-sink wire features once; levels gather rows.
-	hSink, err := tp.GatherRows(h, b.SinkTreeNode)
+	hSink, err := tp.GatherRows(st.h, sb.SinkTreeNode)
 	if err != nil {
 		return nil, err
 	}
@@ -556,11 +599,13 @@ func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *ten
 	if err != nil {
 		return nil, err
 	}
-	wireDelta, err := tp.Add(wireAnchor, wireRes)
-	if err != nil {
-		return nil, err
-	}
+	return tp.Add(wireAnchor, wireRes)
+}
 
+// propagate walks netlist levels from the launched arrivals, adding wire
+// deltas for net sinks and cell deltas (with a smooth max over fanin) for
+// cell outputs.
+func (m *Model) propagate(tp *tensor.Tape, b *Batch, arr, wireDelta, netCap *tensor.Tensor) (*Prediction, error) {
 	for li := range b.Levels {
 		L := &b.Levels[li]
 		// Net sinks: arrival = driver arrival + wire delta.

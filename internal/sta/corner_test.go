@@ -169,3 +169,21 @@ func TestParseCorners(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseCorners feeds arbitrary -corners flag values to ParseCorners.
+// Contract: no panic on any input, and every list it accepts passes
+// ValidateCorners — the one check every layer that takes corners runs.
+// The committed corpus (testdata/fuzz/FuzzParseCorners) holds the
+// presets, "default", custom and boundary corners, overflowing and NaN
+// scales, empty tokens and duplicate names.
+func FuzzParseCorners(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		corners, err := ParseCorners(spec)
+		if err != nil {
+			return
+		}
+		if err := ValidateCorners(corners); err != nil {
+			t.Fatalf("ParseCorners(%q) accepted a list ValidateCorners rejects: %v", spec, err)
+		}
+	})
+}

@@ -71,13 +71,20 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # Workspace determinism gates: pooled vs allocating evaluation must be
 # byte-identical (down to final Steiner coordinates) at any worker
 # count, and must replay the metrics recorded in BENCH_refine.json.
-# BatchReplay covers the batched path: the fused multi-candidate
-# forward of the refiner's lanes against the sequential reference,
-# bench- and pipeline-level. DenseMatchesNaive holds the
-# register-blocked Linear/MatMul kernel bit for bit to the naive loops,
-# and TrainHashPinned holds the trainer to a recorded model hash (the
-# replay pins above never see a weight gradient).
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned' ./...
+# The pooled path runs the frozen forward (Steiner stage on the trees
+# that hold a Steiner point only) and the allocating path the full one,
+# so these gates also hold the frozen forward to the full graph;
+# FrozenForwardMatchesFull does so op-level (values and coordinate
+# gradients, mixed trees and no Steiner point at all), and
+# RefineWithoutSteinerPoints refines a design whose moving half is
+# empty. BatchReplay and BatchedRefineMatchesSequential cover the
+# batched path: the fused multi-candidate forward of the refiner's lanes
+# against the sequential reference, bench-, pipeline- and refiner-level.
+# DenseMatchesNaive holds the register-blocked Linear/MatMul kernel bit
+# for bit to the naive loops, and TrainHashPinned holds the trainer to a
+# recorded model hash (the replay pins above never see a weight
+# gradient).
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json or
@@ -144,13 +151,15 @@ if "$OBS_TMP/tracestat" -diff -min-ms 1 \
 fi
 
 # Fuzz smoke: 10 s per byte-level decoder, tsteinerd's job-request
-# decode + Normalize + Validate included. -run '^$' skips unit tests;
-# bounded minimization keeps single-core runs productive.
+# decode + Normalize + Validate and the -corners parser included.
+# -run '^$' skips unit tests; bounded minimization keeps single-core
+# runs productive.
 go test -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime=5x ./internal/guard/
 go test -run '^$' -fuzz FuzzLoadDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzReadForestJSON -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime=5x ./internal/gnn/
 go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s -fuzzminimizetime=5x ./internal/serve/
+go test -run '^$' -fuzz FuzzParseCorners -fuzztime 10s -fuzzminimizetime=5x ./internal/sta/
 
 # Refresh the per-package coverage baseline.
 {
