@@ -230,4 +230,17 @@ func TestDomainGenerators(t *testing.T) {
 			t.Fatal("placement not deterministic")
 		}
 	}
+	// The inverter chain is n cells on n+1 two-pin nets.
+	chain, err := InverterChain(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain.Cells) != 6 || len(chain.Nets) != 7 {
+		t.Fatalf("chain has %d cells, %d nets; want 6, 7", len(chain.Cells), len(chain.Nets))
+	}
+	for _, n := range chain.Nets {
+		if len(n.Sinks) != 1 {
+			t.Fatalf("chain net %s has %d sinks, want 1", n.Name, len(n.Sinks))
+		}
+	}
 }
