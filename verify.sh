@@ -83,8 +83,11 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # DenseMatchesNaive holds the register-blocked Linear/MatMul kernel bit
 # for bit to the naive loops, and TrainHashPinned holds the trainer to a
 # recorded model hash (the replay pins above never see a weight
-# gradient).
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential' ./...
+# gradient). RefineAcceptPinned is the only gate on a refine loop that
+# accepts a move: it pins the result bytes of an APU refine job whose
+# refinement improves sign-off TNS (every workload above rejects all of
+# its iterations).
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|RefineAcceptPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json or
