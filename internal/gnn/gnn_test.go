@@ -1,6 +1,8 @@
 package gnn
 
 import (
+	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -179,65 +181,110 @@ func TestGradientFlowsToSteinerCoords(t *testing.T) {
 // TestSteinerGradientMatchesFiniteDifference gradchecks the position
 // gradients on both evaluation paths: the plain allocating tape and a
 // workspace-pooled tape reset between builds, so the pooled backward pass
-// is held to the same finite-difference standard.
+// is held to the same finite-difference standard. It runs at the default
+// MPIters 3 and at MPIters 1, where the only round has no reduce; there a
+// trainParams backward must also leave the reduce weights' gradients
+// exactly zero.
 func TestSteinerGradientMatchesFiniteDifference(t *testing.T) {
 	p := prepared(t, "spm", 1.0)
 	b, err := NewBatch(p.Design, p.Forest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewModel(DefaultConfig(), 7)
 	xsv, _, _ := p.Forest.SteinerPositions()
 	if len(xsv) == 0 {
 		t.Skip("no Steiner points")
 	}
-	for _, tc := range []struct {
-		name string
-		ws   *tensor.Workspace
-	}{
-		{name: "allocating", ws: nil},
-		{name: "workspace", ws: tensor.NewWorkspace()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			x, err := tensor.FromSlice(len(xsv), 1, xsv)
+	for _, mp := range []int{3, 1} {
+		cfg := DefaultConfig()
+		cfg.MPIters = mp
+		m := NewModel(cfg, 7)
+		suffix := ""
+		if mp != DefaultConfig().MPIters {
+			suffix = fmt.Sprintf("-mpiters%d", mp)
+		}
+		for _, tc := range []struct {
+			name string
+			ws   *tensor.Workspace
+		}{
+			{name: "allocating", ws: nil},
+			{name: "workspace", ws: tensor.NewWorkspace()},
+		} {
+			t.Run(tc.name+suffix, func(t *testing.T) {
+				x, err := tensor.FromSlice(len(xsv), 1, xsv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				build := func() (*tensor.Tensor, *tensor.Tape, error) {
+					var tp *tensor.Tape
+					if tc.ws != nil {
+						tp = tc.ws.Tape()
+					} else {
+						tp = tensor.NewTape()
+					}
+					xr := &tensor.Tensor{Rows: x.Rows, Cols: 1, Data: x.Data}
+					tp.Leaf(xr)
+					xr.ZeroGrad()
+					ysv := make([]float64, len(xsv))
+					_, yv, _ := p.Forest.SteinerPositions()
+					copy(ysv, yv)
+					yt, _ := tensor.FromSlice(len(ysv), 1, ysv)
+					tp.Constant(yt)
+					pred, err := m.Forward(tp, b, xr, yt, false)
+					if err != nil {
+						return nil, nil, err
+					}
+					loss, err := tp.Sum(pred.EndpointArrival)
+					if err != nil {
+						return nil, nil, err
+					}
+					x.Grad = xr.Grad
+					return loss, tp, nil
+				}
+				worst, err := tensor.GradCheck(x, build, 1e-4, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Coordinates are O(100) and arrivals O(1); gradients are
+				// O(1e-3). Allow loose tolerance for the |·| kinks and float
+				// cancellation.
+				if worst > 1e-5 {
+					t.Errorf("Steiner coordinate gradient mismatch: %g", worst)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("reduce-grad-mpiters%d", mp), func(t *testing.T) {
+			tp := tensor.NewTape()
+			xs, ys, err := b.SteinerLeaves(tp, p.Forest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			build := func() (*tensor.Tensor, *tensor.Tape, error) {
-				var tp *tensor.Tape
-				if tc.ws != nil {
-					tp = tc.ws.Tape()
-				} else {
-					tp = tensor.NewTape()
-				}
-				xr := &tensor.Tensor{Rows: x.Rows, Cols: 1, Data: x.Data}
-				tp.Leaf(xr)
-				xr.ZeroGrad()
-				ysv := make([]float64, len(xsv))
-				_, yv, _ := p.Forest.SteinerPositions()
-				copy(ysv, yv)
-				yt, _ := tensor.FromSlice(len(ysv), 1, ysv)
-				tp.Constant(yt)
-				pred, err := m.Forward(tp, b, xr, yt, false)
-				if err != nil {
-					return nil, nil, err
-				}
-				loss, err := tp.Sum(pred.EndpointArrival)
-				if err != nil {
-					return nil, nil, err
-				}
-				x.Grad = xr.Grad
-				return loss, tp, nil
-			}
-			worst, err := tensor.GradCheck(x, build, 1e-4, 8)
+			pred, err := m.Forward(tp, b, xs, ys, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Coordinates are O(100) and arrivals O(1); gradients are
-			// O(1e-3). Allow loose tolerance for the |·| kinks and float
-			// cancellation.
-			if worst > 1e-5 {
-				t.Errorf("Steiner coordinate gradient mismatch: %g", worst)
+			loss, err := tp.Sum(pred.EndpointArrival)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tp.Backward(loss); err != nil {
+				t.Fatal(err)
+			}
+			nonzero := 0
+			for _, prm := range []*tensor.Tensor{m.WReduce, m.BReduce} {
+				for _, g := range prm.Grad {
+					if math.Float64bits(g) != 0 {
+						nonzero++
+					}
+				}
+			}
+			// One round has no reduce, so its weights see exact +0; with
+			// more rounds the earlier reduces feed the wire head.
+			if mp == 1 && nonzero != 0 {
+				t.Errorf("MPIters 1: %d reduce-weight gradients are not +0", nonzero)
+			}
+			if mp > 1 && nonzero == 0 {
+				t.Errorf("MPIters %d: no gradient reached the reduce weights", mp)
 			}
 		})
 	}

@@ -20,7 +20,9 @@ type Config struct {
 	// WireHidden / CellHidden size the delay-head MLPs.
 	WireHidden, CellHidden int
 	// MPIters is the number of broadcast/reduce rounds (the paper uses 3;
-	// 0 disables Steiner-graph message passing entirely).
+	// 0 disables Steiner-graph message passing entirely). The last round
+	// has no reduce (its output is never read), so WReduce and BReduce
+	// train only at MPIters >= 2.
 	MPIters int
 	// ArcGamma is the LSE temperature (ns) smoothing the per-pin max over
 	// fanin arrivals during netlist propagation.
@@ -393,7 +395,12 @@ func gatherSegSum(tp *tensor.Tape, src *tensor.Tensor, idx, dst []int32, nOut in
 
 // steinerMP runs MPIters rounds of broadcast (tree edges, parent→child)
 // and reduce (net edges, sink→driver), the paper's bidirectional net
-// propagation on the Steiner graph.
+// propagation on the Steiner graph. The last round stops after its
+// broadcast. Its reduce would write only driver-node rows of h, and
+// nothing reads them: the wire head gathers h at sink nodes, and launch
+// and level propagation never read h. So the skipped ops are dead, and
+// their backward terms are exact zeros that could not change any
+// gradient buffer.
 func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, pathS *tensor.Tensor) (*tensor.Tensor, error) {
 	xn, err := tp.Scale(nodeX, b.LenScale)
 	if err != nil {
@@ -447,6 +454,9 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 		h, err = tp.Add(h, upd)
 		if err != nil {
 			return nil, err
+		}
+		if it == m.Cfg.MPIters-1 {
+			break // the last reduce writes only driver rows, which nothing reads
 		}
 
 		// Reduce: messages from sink pin nodes back to their driver node.
