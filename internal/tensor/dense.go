@@ -14,7 +14,9 @@ import "fmt"
 //     skipping x[i][kk] == 0 (so a zero input never meets an Inf or NaN
 //     weight); the bias is added once, after the k-sum.
 //   - dX[i][kk] += s, where s starts at +0 and adds g[i][j]·w[kk][j] for j
-//     ascending.
+//     ascending. Into a fresh raw gradient buffer (ensureGradRaw) the
+//     kernel stores s instead: +0 + s is s, because a sum that starts at
+//     +0 is never −0.
 //   - dW[kk][j] and dBias[j] accumulate in place over lanes, then rows
 //     ascending; dW skips x[i][kk] == 0 like the forward.
 //
@@ -24,10 +26,11 @@ import "fmt"
 // Linear folds in what used to be a separate bias op: that op handed the
 // product the gradient +0 + g instead of g. The two differ only when
 // g = −0, and a −0 term cannot change a sum that starts at +0 — the dX
-// sum above, or a gradient buffer, which ensureGrad and ZeroGrad always
-// start at +0. For the same reason a bias may not carry more lanes than
-// the product: folding it in would reorder the lane sum of the product's
-// gradient.
+// sum above, or a gradient buffer, which ensureGrad and ZeroGrad start at
+// +0 (a raw buffer from ensureGradRaw holds, after its first store of
+// g + 0, the value a +0 start gives). For the same reason a bias may not
+// carry more lanes than the product: folding it in would reorder the lane
+// sum of the product's gradient.
 
 // denseBlock is the register block width: the evaluator's hidden width.
 const denseBlock = 8
@@ -83,9 +86,9 @@ func (tp *Tape) Linear(x, w, b *Tensor) (*Tensor, error) {
 				}
 			}
 			if x.requiresGrad {
-				x.ensureGrad()
+				fresh := x.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
-					denseGradX(opLaneGrad(x, l), out.Grad[l*st:(l+1)*st], opLane(w, l), m, k, n)
+					denseGradX(opLaneGrad(x, l), out.Grad[l*st:(l+1)*st], opLane(w, l), m, k, n, storeLane(x, fresh, l))
 				}
 			}
 			if w.requiresGrad {
@@ -148,11 +151,12 @@ func denseForward(od, xd, wd, bd []float64, m, k, n int) {
 	}
 }
 
-// denseGradX accumulates dX += G·Wᵀ for one lane. Each dX element's sum
-// runs over all n columns in one chain, so only a product exactly one
-// block wide (the evaluator's) holds its gradient row in registers across
-// the kk loop; other widths take the plain loop.
-func denseGradX(xg, g, wd []float64, m, k, n int) {
+// denseGradX accumulates dX += G·Wᵀ for one lane, or with store set
+// writes dX = G·Wᵀ into a raw buffer. Each dX element's sum runs over all
+// n columns in one chain, so only a product exactly one block wide (the
+// evaluator's) holds its gradient row in registers across the kk loop;
+// other widths take the plain loop.
+func denseGradX(xg, g, wd []float64, m, k, n int, store bool) {
 	if n == denseBlock {
 		for i := 0; i < m; i++ {
 			gr := g[i*n : (i+1)*n : (i+1)*n]
@@ -169,7 +173,11 @@ func denseGradX(xg, g, wd []float64, m, k, n int) {
 				s += g5 * wr[5]
 				s += g6 * wr[6]
 				s += g7 * wr[7]
-				xr[kk] += s
+				if store {
+					xr[kk] = s
+				} else {
+					xr[kk] += s
+				}
 			}
 		}
 		return
@@ -183,7 +191,11 @@ func denseGradX(xg, g, wd []float64, m, k, n int) {
 			for j, gv := range gr {
 				s += gv * wr[j]
 			}
-			xr[kk] += s
+			if store {
+				xr[kk] = s
+			} else {
+				xr[kk] += s
+			}
 		}
 	}
 }

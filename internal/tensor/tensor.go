@@ -88,7 +88,10 @@ func (t *Tensor) GradAt(r, c int) float64 {
 	return t.Grad[r*t.Cols+c]
 }
 
-// ensureGrad allocates the gradient buffer on demand.
+// ensureGrad allocates the gradient buffer on demand, zeroed. Backward
+// kernels that add into only some elements (scatters, one lane of
+// several, parameter reductions) use it; see ensureGradRaw for the
+// kernels that write every element.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
 		if t.wsOwned && t.tape != nil && t.tape.ws != nil {
@@ -96,6 +99,47 @@ func (t *Tensor) ensureGrad() {
 			return
 		}
 		t.Grad = make([]float64, t.Len())
+	}
+}
+
+// ensureGradRaw is ensureGrad for a backward kernel that writes every
+// element of t's gradient. A buffer it draws from the workspace is not
+// zeroed, and it reports that buffer as fresh: the kernel then stores
+// g + 0 where it would add g. That is the value a zeroed buffer gives,
+// +0 + g, for every g: the +0 turns a −0 into +0. An operand's freshness
+// is decided once, before the kernel's lane loop (see storeLane), and an
+// operand that appears twice in one op is fresh only where it first
+// appears, because the second call finds the buffer. Without a workspace
+// the buffer is allocated zeroed and is not fresh, so the allocating tape
+// keeps the accumulating kernels the pooled tape is tested against.
+func (t *Tensor) ensureGradRaw() (fresh bool) {
+	if t.Grad != nil || !t.wsOwned || t.tape == nil || t.tape.ws == nil {
+		t.ensureGrad()
+		return false
+	}
+	t.Grad = t.tape.ws.grabF64Raw(t.Len())
+	return true
+}
+
+// storeLane reports whether a backward kernel stores, rather than adds,
+// output lane l's gradient into operand t's block: only into a fresh
+// buffer, and for a 1-lane operand broadcast over several lanes only on
+// lane 0, because the later lanes add onto what lane 0 stored.
+func storeLane(t *Tensor, fresh bool, l int) bool {
+	return fresh && (l == 0 || t.LaneCount() > 1)
+}
+
+// addGrad adds src into the gradient block dst, or, when store is set,
+// stores src + 0 into raw memory (see ensureGradRaw).
+func addGrad(dst, src []float64, store bool) {
+	if store {
+		for i, v := range src {
+			dst[i] = v + 0
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
@@ -186,7 +230,8 @@ func (tp *Tape) result(rows, cols int, reqGrad bool) *Tensor {
 
 // resultL builds an op output with an explicit lane count and zeroed
 // Data, laid out lane-major ([lanes×rows×cols]). Gradient buffers are
-// NOT allocated here: ensureGrad materializes them on first use during
+// NOT allocated here: ensureGrad, or ensureGradRaw for a backward kernel
+// that writes every element, materializes them on first use during
 // Backward, so a forward-only pass pays nothing for them and a backward
 // pass skips ops whose outputs never received a gradient.
 func (tp *Tape) resultL(lanes, rows, cols int, reqGrad bool) *Tensor {
@@ -278,21 +323,15 @@ func (tp *Tape) Add(a, b *Tensor) (*Tensor, error) {
 				return
 			}
 			if a.requiresGrad {
-				a.ensureGrad()
+				fresh := a.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
-					ag, og := opLaneGrad(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i]
-					}
+					addGrad(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], storeLane(a, fresh, l))
 				}
 			}
 			if b.requiresGrad {
-				b.ensureGrad()
+				fresh := b.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
-					bg, og := opLaneGrad(b, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						bg[i] += og[i]
-					}
+					addGrad(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], storeLane(b, fresh, l))
 				}
 			}
 		})
@@ -332,26 +371,34 @@ func (tp *Tape) Mul(a, b *Tensor) (*Tensor, error) {
 				return
 			}
 			if a.requiresGrad {
-				a.ensureGrad()
+				fresh := a.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
-					ag, bd, og := opLaneGrad(a, l), opLane(b, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i] * bd[i]
-					}
+					mulGrad(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], opLane(b, l), storeLane(a, fresh, l))
 				}
 			}
 			if b.requiresGrad {
-				b.ensureGrad()
+				fresh := b.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
-					bg, ad, og := opLaneGrad(b, l), opLane(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						bg[i] += og[i] * ad[i]
-					}
+					mulGrad(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], opLane(a, l), storeLane(b, fresh, l))
 				}
 			}
 		})
 	}
 	return out, nil
+}
+
+// mulGrad adds g ⊙ f into the gradient block dst, or stores it into raw
+// memory when store is set (see ensureGradRaw).
+func mulGrad(dst, g, f []float64, store bool) {
+	if store {
+		for i, v := range g {
+			dst[i] = v*f[i] + 0
+		}
+		return
+	}
+	for i, v := range g {
+		dst[i] += v * f[i]
+	}
 }
 
 // Scale returns s·a.
@@ -365,9 +412,14 @@ func (tp *Tape) Scale(a *Tensor, s float64) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] * s
+			if a.ensureGradRaw() {
+				for i, g := range out.Grad {
+					a.Grad[i] = g*s + 0
+				}
+				return
+			}
+			for i, g := range out.Grad {
+				a.Grad[i] += g * s
 			}
 		})
 	}
@@ -421,12 +473,18 @@ func (tp *Tape) MulBroadcast(a, s *Tensor) (*Tensor, error) {
 				return
 			}
 			if a.requiresGrad {
-				a.ensureGrad()
+				fresh := a.ensureGradRaw()
 				for l := 0; l < lanes; l++ {
 					ag, og := opLaneGrad(a, l), out.Grad[l*st:(l+1)*st]
 					sv := opLane(s, l)[0]
-					for i := range og {
-						ag[i] += og[i] * sv
+					if storeLane(a, fresh, l) {
+						for i, g := range og {
+							ag[i] = g*sv + 0
+						}
+						continue
+					}
+					for i, g := range og {
+						ag[i] += g * sv
 					}
 				}
 			}
@@ -483,10 +541,16 @@ func (tp *Tape) Tanh(a *Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
+			if a.ensureGradRaw() {
+				for i, g := range out.Grad {
+					y := out.Data[i]
+					a.Grad[i] = g*(1-y*y) + 0
+				}
+				return
+			}
+			for i, g := range out.Grad {
 				y := out.Data[i]
-				a.Grad[i] += out.Grad[i] * (1 - y*y)
+				a.Grad[i] += g * (1 - y*y)
 			}
 		})
 	}
@@ -525,9 +589,14 @@ func (tp *Tape) Softplus(a *Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] / (1 + math.Exp(-a.Data[i]))
+			if a.ensureGradRaw() {
+				for i, g := range out.Grad {
+					a.Grad[i] = g/(1+math.Exp(-a.Data[i])) + 0
+				}
+				return
+			}
+			for i, g := range out.Grad {
+				a.Grad[i] += g / (1 + math.Exp(-a.Data[i]))
 			}
 		})
 	}
@@ -623,17 +692,21 @@ func (tp *Tape) ConcatCols(ts ...*Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
+			// Freshness per part, before the lane loop; a stack array
+			// holds it for the usual few parts.
+			var freshBuf [8]bool
+			fresh := freshBuf[:0]
+			for _, t := range parts {
+				fresh = append(fresh, t.requiresGrad && t.ensureGradRaw())
+			}
 			for l := 0; l < lanes; l++ {
 				og := out.Grad[l*st : (l+1)*st]
 				off := 0
-				for _, t := range parts {
+				for p, t := range parts {
 					if t.requiresGrad {
-						t.ensureGrad()
-						tg := opLaneGrad(t, l)
+						tg, store := opLaneGrad(t, l), storeLane(t, fresh[p], l)
 						for i := 0; i < rows; i++ {
-							for j := 0; j < t.Cols; j++ {
-								tg[i*t.Cols+j] += og[i*cols+off+j]
-							}
+							addGrad(tg[i*t.Cols:(i+1)*t.Cols], og[i*cols+off:i*cols+off+t.Cols], store)
 						}
 					}
 					off += t.Cols
@@ -787,13 +860,13 @@ func (tp *Tape) SegmentSum(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
+			// A gather: every row of a reads one output row, so the
+			// kernel writes all of a's gradient.
+			store := a.ensureGradRaw()
 			for l := 0; l < lanes; l++ {
 				ag, og := a.Grad[l*ast:(l+1)*ast], out.Grad[l*st:(l+1)*st]
 				for i, s := range ids {
-					for j := 0; j < a.Cols; j++ {
-						ag[i*a.Cols+j] += og[int(s)*a.Cols+j]
-					}
+					addGrad(ag[i*a.Cols:(i+1)*a.Cols], og[int(s)*a.Cols:(int(s)+1)*a.Cols], store)
 				}
 			}
 		})

@@ -8,11 +8,16 @@ import "fmt"
 // workspace draws them from per-length free lists and the caller reclaims
 // everything at once with Reset between iterations.
 //
-// Purity contract (the determinism invariant): every buffer handed out is
-// zeroed first, so arithmetic on pooled storage is byte-identical to
-// arithmetic on freshly allocated storage, and no state can leak from one
-// iteration into the next. The only observable difference between the
-// pooled and allocating paths is the allocation count.
+// Purity contract (the determinism invariant): arithmetic on pooled
+// storage is byte-identical to arithmetic on freshly allocated storage,
+// and no state can leak from one iteration into the next. A buffer an op
+// accumulates into is zeroed first. A buffer handed out un-zeroed goes
+// only to a kernel that writes every element before any read: a forward
+// kernel filling its output (resultRaw), or a backward kernel writing
+// every element of an operand's gradient (ensureGradRaw), which stores
+// g + 0 where the allocating tape adds g to +0. The only observable
+// difference between the pooled and allocating paths is the allocation
+// count.
 //
 // Lifetime contract: Reset invalidates every tensor, slice and tape
 // recording produced since the previous Reset — callers must copy any
@@ -102,9 +107,10 @@ func (ws *Workspace) grabF64(n int) []float64 {
 }
 
 // grabF64Raw returns a length-n float64 slice from the pool WITHOUT
-// zeroing a reused buffer. Only for op outputs whose kernel writes every
-// element (a fresh pool miss is still zeroed by the allocator, so the
-// contents must never be read before being written anyway).
+// zeroing a reused buffer. Only for op outputs and gradient buffers whose
+// kernel writes every element (a fresh pool miss is still zeroed by the
+// allocator, so the contents must never be read before being written
+// anyway).
 func (ws *Workspace) grabF64Raw(n int) []float64 {
 	if n == 0 {
 		return nil
@@ -180,8 +186,8 @@ func (ws *Workspace) header() *Tensor {
 // the batch-axis length (1 for unbatched). zeroed selects whether a
 // reused Data buffer is cleared — accumulating kernels (MatMul,
 // SegmentSum) need it, fully-overwriting kernels skip the memclr.
-// Gradient buffers are allocated lazily by ensureGrad during Backward,
-// so forward-only evaluation never touches them.
+// Gradient buffers are allocated lazily by ensureGrad or ensureGradRaw
+// during Backward, so forward-only evaluation never touches them.
 func (ws *Workspace) tensor(tp *Tape, lanes, rows, cols int, reqGrad, zeroed bool) *Tensor {
 	t := ws.header()
 	t.Rows, t.Cols, t.Lanes = rows, cols, lanes
