@@ -31,7 +31,8 @@ import (
 //   - Every consumer reads the merged tensors, in forward's op order, so
 //     each gradient buffer accumulates the same terms in the same order.
 //     The merge hands each moving row the gradient +0 + g, which is g:
-//     a gradient buffer starts at +0 and can never become −0.
+//     a gradient buffer starts at +0, or takes g + 0 as its first store,
+//     and can never become −0.
 //
 // TestFrozenForwardMatchesFull holds values and gradients to the full
 // forward; core's pooled-versus-allocating replay gates hold refinement
