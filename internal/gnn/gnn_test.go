@@ -191,69 +191,72 @@ func TestSteinerGradientMatchesFiniteDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := func(mpIters int) *Model {
+		cfg := DefaultConfig()
+		cfg.MPIters = mpIters
+		return NewModel(cfg, 7)
+	}
 	xsv, _, _ := p.Forest.SteinerPositions()
 	if len(xsv) == 0 {
 		t.Skip("no Steiner points")
 	}
+	for _, tc := range []struct {
+		name    string
+		mpIters int
+		ws      *tensor.Workspace
+	}{
+		{name: "allocating", mpIters: 3, ws: nil},
+		{name: "workspace", mpIters: 3, ws: tensor.NewWorkspace()},
+		{name: "allocating-mpiters1", mpIters: 1, ws: nil},
+		{name: "workspace-mpiters1", mpIters: 1, ws: tensor.NewWorkspace()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := model(tc.mpIters)
+			x, err := tensor.FromSlice(len(xsv), 1, xsv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() (*tensor.Tensor, *tensor.Tape, error) {
+				var tp *tensor.Tape
+				if tc.ws != nil {
+					tp = tc.ws.Tape()
+				} else {
+					tp = tensor.NewTape()
+				}
+				xr := &tensor.Tensor{Rows: x.Rows, Cols: 1, Data: x.Data}
+				tp.Leaf(xr)
+				xr.ZeroGrad()
+				ysv := make([]float64, len(xsv))
+				_, yv, _ := p.Forest.SteinerPositions()
+				copy(ysv, yv)
+				yt, _ := tensor.FromSlice(len(ysv), 1, ysv)
+				tp.Constant(yt)
+				pred, err := m.Forward(tp, b, xr, yt, false)
+				if err != nil {
+					return nil, nil, err
+				}
+				loss, err := tp.Sum(pred.EndpointArrival)
+				if err != nil {
+					return nil, nil, err
+				}
+				x.Grad = xr.Grad
+				return loss, tp, nil
+			}
+			worst, err := tensor.GradCheck(x, build, 1e-4, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Coordinates are O(100) and arrivals O(1); gradients are
+			// O(1e-3). Allow loose tolerance for the |·| kinks and float
+			// cancellation.
+			if worst > 1e-5 {
+				t.Errorf("Steiner coordinate gradient mismatch: %g", worst)
+			}
+		})
+	}
 	for _, mp := range []int{3, 1} {
-		cfg := DefaultConfig()
-		cfg.MPIters = mp
-		m := NewModel(cfg, 7)
-		suffix := ""
-		if mp != DefaultConfig().MPIters {
-			suffix = fmt.Sprintf("-mpiters%d", mp)
-		}
-		for _, tc := range []struct {
-			name string
-			ws   *tensor.Workspace
-		}{
-			{name: "allocating", ws: nil},
-			{name: "workspace", ws: tensor.NewWorkspace()},
-		} {
-			t.Run(tc.name+suffix, func(t *testing.T) {
-				x, err := tensor.FromSlice(len(xsv), 1, xsv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				build := func() (*tensor.Tensor, *tensor.Tape, error) {
-					var tp *tensor.Tape
-					if tc.ws != nil {
-						tp = tc.ws.Tape()
-					} else {
-						tp = tensor.NewTape()
-					}
-					xr := &tensor.Tensor{Rows: x.Rows, Cols: 1, Data: x.Data}
-					tp.Leaf(xr)
-					xr.ZeroGrad()
-					ysv := make([]float64, len(xsv))
-					_, yv, _ := p.Forest.SteinerPositions()
-					copy(ysv, yv)
-					yt, _ := tensor.FromSlice(len(ysv), 1, ysv)
-					tp.Constant(yt)
-					pred, err := m.Forward(tp, b, xr, yt, false)
-					if err != nil {
-						return nil, nil, err
-					}
-					loss, err := tp.Sum(pred.EndpointArrival)
-					if err != nil {
-						return nil, nil, err
-					}
-					x.Grad = xr.Grad
-					return loss, tp, nil
-				}
-				worst, err := tensor.GradCheck(x, build, 1e-4, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Coordinates are O(100) and arrivals O(1); gradients are
-				// O(1e-3). Allow loose tolerance for the |·| kinks and float
-				// cancellation.
-				if worst > 1e-5 {
-					t.Errorf("Steiner coordinate gradient mismatch: %g", worst)
-				}
-			})
-		}
 		t.Run(fmt.Sprintf("reduce-grad-mpiters%d", mp), func(t *testing.T) {
+			m := model(mp)
 			tp := tensor.NewTape()
 			xs, ys, err := b.SteinerLeaves(tp, p.Forest)
 			if err != nil {
