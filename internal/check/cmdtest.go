@@ -45,6 +45,22 @@ func RunOK(t *testing.T, workDir, bin string, args ...string) string {
 	return string(out)
 }
 
+// RunStdout executes bin with args in workDir, asserting exit status 0,
+// and returns its stdout alone. Stderr carries progress logs with
+// timestamps, so it is shown only when the run fails.
+func RunStdout(t *testing.T, workDir, bin string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = workDir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, stderr.String())
+	}
+	return out
+}
+
 // RunFail executes bin with args, asserting a non-zero exit status —
 // the misuse path (missing required flags, bad input) must not
 // silently succeed. Returns combined output.

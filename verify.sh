@@ -86,8 +86,9 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # gradient). RefineAcceptPinned is the only gate on a refine loop that
 # accepts a move: it pins the result bytes of an APU refine job whose
 # refinement improves sign-off TNS (every workload above rejects all of
-# its iterations).
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|RefineAcceptPinned' ./...
+# its iterations). OutputsPinned holds the stdout and artifact bytes of
+# the compiled tsteiner and runflow CLIs.
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|RefineAcceptPinned|OutputsPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json or
