@@ -441,9 +441,9 @@ func finiteAll(vals []float64) bool {
 
 // Refine runs Algorithm 1 from the prepared forest and returns the
 // refined forest (positions are continuous; callers round via
-// flow.Signoff's post-processing).
+// flow.Signoff's post-processing). It is one round of RefineRounds.
 func (r *Refiner) Refine() (*Result, error) {
-	return r.refineFrom(r.Prep.Forest, r.Opt.CheckpointPath)
+	return r.RefineRounds(1)
 }
 
 // RefineRounds runs successive refinement rounds, re-anchoring the trust
@@ -451,7 +451,8 @@ func (r *Refiner) Refine() (*Result, error) {
 // paper's future-work direction of extending Steiner refinement beyond a
 // single pre-routing pass. Later rounds can escape the first round's
 // movement bound while each individual step stays within the region where
-// the evaluator is locally valid.
+// the evaluator is locally valid. Round 0 checkpoints at
+// Options.CheckpointPath and round k > 0 at CheckpointPath.rk.
 func (r *Refiner) RefineRounds(rounds int) (*Result, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("core: rounds %d < 1", rounds)
@@ -460,7 +461,7 @@ func (r *Refiner) RefineRounds(rounds int) (*Result, error) {
 	var agg *Result
 	for k := 0; k < rounds; k++ {
 		ckpt := r.Opt.CheckpointPath
-		if ckpt != "" {
+		if ckpt != "" && k > 0 {
 			ckpt = fmt.Sprintf("%s.r%d", ckpt, k)
 		}
 		res, err := r.refineFrom(start, ckpt)

@@ -2,12 +2,15 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"tsteiner/internal/check"
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
+	"tsteiner/internal/guard"
 	"tsteiner/internal/lib"
 	"tsteiner/internal/train"
 )
@@ -344,6 +347,53 @@ func TestRefineRoundsAggregates(t *testing.T) {
 	if _, err := r.RefineRounds(0); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
+}
+
+// TestRefineRoundsCheckpoints: a multi-round run checkpoints round 0 at
+// the bare path and round k > 0 at path.rk, and a run cut off mid-round
+// resumes to the uninterrupted result.
+func TestRefineRoundsCheckpoints(t *testing.T) {
+	r, _ := fixture(t)
+	opt := guardOptions()
+	clean, err := refinerWith(t, r, opt).RefineRounds(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "refine.ckpt")
+	copt := opt
+	copt.CheckpointPath = path
+	if _, err := refinerWith(t, r, copt).RefineRounds(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, path + ".r1"} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("round checkpoint %s: %v", filepath.Base(p), err)
+		}
+	}
+	if _, err := os.Stat(path + ".r0"); !os.IsNotExist(err) {
+		t.Errorf("round 0 checkpointed at refine.ckpt.r0 (stat: %v)", err)
+	}
+
+	path = filepath.Join(t.TempDir(), "refine.ckpt")
+	iopt := opt
+	iopt.CheckpointPath = path
+	iopt.Budget = &guard.Budget{MaxIters: 3}
+	cut, err := refinerWith(t, r, iopt).RefineRounds(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Cutoff == "" || cut.Iterations != 3 {
+		t.Fatalf("cut run: cutoff=%q iterations=%d", cut.Cutoff, cut.Iterations)
+	}
+	ropt := opt
+	ropt.CheckpointPath = path
+	ropt.Resume = true
+	resumed, err := refinerWith(t, r, ropt).RefineRounds(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, clean, resumed, "2 rounds resumed after a cut")
 }
 
 func TestSignoffAfterRefinement(t *testing.T) {
