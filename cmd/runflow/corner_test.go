@@ -65,6 +65,21 @@ func TestRefineCornersSVG(t *testing.T) {
 	}
 }
 
+// TestDeadlineSignsOffBestSoFar: a -deadline that expires during training
+// cuts training and refinement short, but the final sign-off runs without
+// the budget, so the run exits 0 and prints the refined sign-off of the
+// best forest so far.
+func TestDeadlineSignsOffBestSoFar(t *testing.T) {
+	bin := check.GoBuild(t, "tsteiner/cmd/runflow")
+	dir := t.TempDir()
+	path := writeDesign(t, dir, 7)
+	out := check.RunStdout(t, dir, bin,
+		"-design", path, "-refine", "-epochs", "1000000", "-deadline", "2s")
+	if !strings.Contains(string(out), "refined:") {
+		t.Fatalf("no refined sign-off after the deadline:\n%s", out)
+	}
+}
+
 // TestCornerMisuse pins the misuse exit codes for the corner flag and
 // corrupt design input.
 func TestCornerMisuse(t *testing.T) {

@@ -22,22 +22,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 
 	"tsteiner/internal/bufins"
-	"tsteiner/internal/core"
 	"tsteiner/internal/designio"
 	"tsteiner/internal/flow"
-	"tsteiner/internal/gnn"
 	"tsteiner/internal/guard"
+	"tsteiner/internal/job"
 	"tsteiner/internal/lib"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/report"
 	"tsteiner/internal/shard"
 	"tsteiner/internal/sta"
-	"tsteiner/internal/train"
 	"tsteiner/internal/viz"
 )
 
@@ -138,10 +137,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rep, timing, err := flow.SignoffTiming(prepared, prepared.Forest)
+	spec := job.Spec{Kind: job.KindSignoff}
+	var env job.Env
+	if *refine {
+		spec = job.Spec{
+			Kind: job.KindRefine, Seed: *seed, Epochs: *epochs, AugmentVariants: 2,
+			Iters: *iters, Lanes: *lanes, Rounds: 1,
+		}
+		if shared.CheckpointDir != "" {
+			env.TrainCkpt = filepath.Join(shared.CheckpointDir, "train.ckpt")
+			env.RefineCkpt = filepath.Join(shared.CheckpointDir, "refine.ckpt")
+			env.Resume = shared.Resume
+		}
+		log.Printf("training evaluator (%d epochs) and refining Steiner points (N=%d)", *epochs, *iters)
+	}
+	out, err := job.Run(prepared, spec, env)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := out.Baseline
 	fmt.Printf("sign-off: WNS %.3f ns, TNS %.2f ns, %d violations\n", rep.WNS, rep.TNS, rep.Vios)
 	fmt.Printf("routing:  WL %d DBU, %d vias, %d DRVs, overflow %d\n",
 		rep.WirelengthDBU, rep.Vias, rep.DRVs, rep.Overflow)
@@ -151,7 +165,7 @@ func main() {
 		}
 	}
 
-	finalForest := prepared.Forest
+	finalForest := out.Forest
 	if *shards > 0 {
 		sopt := shard.DefaultOptions()
 		sopt.Shards = *shards
@@ -175,22 +189,16 @@ func main() {
 		}
 	}
 	if *refine {
-		res, err := refineDesign(prepared, timing, rep, *epochs, *iters, *lanes, *seed, corners, shared, budget, sink, manifest)
-		if err != nil {
-			log.Fatal(err)
-		}
+		finalForest = out.Forest
+		manifest.ModelHash = out.Model.Hash()
+		log.Printf("evaluator R²: all-pins %.4f, endpoints %.4f", out.Scores.ArrivalAll, out.Scores.ArrivalEnds)
+		res, rep2 := out.Refine, out.Refined
 		if res.Cutoff != "" {
 			log.Printf("refinement cut off (%s); keeping best solution so far", res.Cutoff)
 		}
 		if res.Degraded {
 			log.Printf("refinement degraded after %d numerical recoveries; keeping best solution so far", res.Recoveries)
 		}
-		finalForest = res.Forest
-		rep2, err := flow.Signoff(prepared, res.Forest)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep2.TSteinerSec = res.RuntimeSec
 		fmt.Printf("refined:  WNS %.3f ns, TNS %.2f ns, %d violations (evaluator WNS %.3f→%.3f, %d iterations)\n",
 			rep2.WNS, rep2.TNS, rep2.Vios, res.InitWNS, res.BestWNS, res.Iterations)
 		if len(rep2.Corners) > 0 {
@@ -201,12 +209,9 @@ func main() {
 	}
 
 	if *svgPath != "" {
-		out, err := os.Create(*svgPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
-		if err := viz.WriteLayoutSVG(out, prepared.Design, finalForest, viz.DefaultLayoutOptions()); err != nil {
+		if err := guard.AtomicWriteFunc(*svgPath, func(w io.Writer) error {
+			return viz.WriteLayoutSVG(w, prepared.Design, finalForest, viz.DefaultLayoutOptions())
+		}); err != nil {
 			log.Fatal(err)
 		}
 		if err := manifest.WriteNextTo(*svgPath); err != nil {
@@ -214,72 +219,4 @@ func main() {
 		}
 		log.Printf("layout written to %s", *svgPath)
 	}
-}
-
-// refineDesign trains an evaluator on this design (plus perturbed
-// variants) and runs TSteiner refinement — the same recipe cmd/tsteiner
-// applies to bundled benchmarks, for loaded designs.
-func refineDesign(p *flow.Prepared, timing *sta.Result, baseline *flow.Report, epochs, iters, lanes int, seed int64, corners []sta.Corner, shared *obs.Flags, budget *guard.Budget, sink *obs.Sink, manifest *obs.Manifest) (*core.Result, error) {
-	workers := shared.Workers
-	batch, err := gnn.NewBatch(p.Design, p.Forest)
-	if err != nil {
-		return nil, err
-	}
-	smp := &train.Sample{
-		Name:     p.Design.Name,
-		Train:    true,
-		Prepared: p,
-		Batch:    batch,
-		Forest:   p.Forest,
-		Labels:   gnn.Labels(timing),
-		Baseline: baseline,
-	}
-	log.Printf("training evaluator (%d epochs)", epochs)
-	samples := []*train.Sample{smp}
-	aug, err := train.Augment(smp, 2, 10, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	samples = append(samples, aug...)
-	m := gnn.NewModel(gnn.DefaultConfig(), seed)
-	topt := train.DefaultOptions()
-	topt.Epochs = epochs
-	topt.Seed = seed
-	topt.Obs = sink
-	topt.Budget = budget
-	if shared.CheckpointDir != "" {
-		topt.CheckpointPath = filepath.Join(shared.CheckpointDir, "train.ckpt")
-		topt.Resume = shared.Resume
-	}
-	if _, err := train.Train(m, samples, topt); err != nil {
-		return nil, err
-	}
-	manifest.ModelHash = m.Hash()
-	sc, err := train.Evaluate(m, smp)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("evaluator R²: all-pins %.4f, endpoints %.4f", sc.ArrivalAll, sc.ArrivalEnds)
-	sink.Event("train.eval",
-		obs.KV{K: "design", V: p.Design.Name},
-		obs.KV{K: "r2_all", V: sc.ArrivalAll}, obs.KV{K: "r2_ends", V: sc.ArrivalEnds})
-
-	ropt := core.DefaultOptions()
-	ropt.N = iters
-	ropt.CandidateLanes = lanes
-	ropt.Budget = budget
-	if len(corners) > 0 {
-		ropt.Corners = core.CornerTermsFor(corners)
-		ropt.HoldGuard = true
-	}
-	if shared.CheckpointDir != "" {
-		ropt.CheckpointPath = filepath.Join(shared.CheckpointDir, "refine.ckpt")
-		ropt.Resume = shared.Resume
-	}
-	ref, err := core.NewRefiner(m, batch, p, ropt)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("refining Steiner points (N=%d)", ropt.N)
-	return ref.Refine()
 }

@@ -28,31 +28,33 @@
 //	         [-kind signoff|train|refine] [-job-id id] [-wait 10m]
 //	         [-job-shards 4] [-save-forest refined.json] [-deadline 5m]
 //
-// When -model names an existing file the evaluator is loaded from it;
-// otherwise a fresh evaluator is trained on this design (plus perturbed
-// variants) before refinement.
+// When -model names an existing file the evaluator is loaded from it (a
+// file that does not load is an error); otherwise a fresh evaluator is
+// trained on this design (plus perturbed variants) before refinement and
+// saved there.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
 
-	"tsteiner/internal/core"
 	"tsteiner/internal/designio"
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
 	"tsteiner/internal/guard"
+	"tsteiner/internal/job"
 	"tsteiner/internal/lib"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/report"
 	"tsteiner/internal/shard"
 	"tsteiner/internal/sta"
 	"tsteiner/internal/synth"
-	"tsteiner/internal/train"
 	"tsteiner/internal/viz"
 )
 
@@ -166,14 +168,13 @@ func main() {
 	fcfg.Obs = sink
 	fcfg.Budget = budget
 	fcfg.Corners = corners
-	smp, err := train.BuildSample(*design, *scale, true, fcfg)
+	prepared, err := flow.PrepareBenchmark(*design, *scale, fcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	printReport("baseline", smp.Baseline)
 	if *designPath != "" {
 		if err := writeFile(*designPath, func(w io.Writer) error {
-			return designio.WriteJSON(w, smp.Prepared.Design)
+			return designio.WriteJSON(w, prepared.Design)
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -182,91 +183,40 @@ func main() {
 	}
 	if *verilogPath != "" {
 		if err := writeFile(*verilogPath, func(w io.Writer) error {
-			return designio.WriteVerilog(w, smp.Prepared.Design)
+			return designio.WriteVerilog(w, prepared.Design)
 		}); err != nil {
 			log.Fatal(err)
 		}
 		saveManifest(*verilogPath)
 		log.Printf("verilog written to %s", *verilogPath)
 	}
+
+	spec := job.Spec{
+		Kind: job.KindRefine, Seed: *seed, Epochs: *epochs, AugmentVariants: 2,
+		Iters: *iters, Lanes: *lanes, Rounds: *rounds,
+	}
+	if *baselineOnly {
+		spec.Kind = job.KindSignoff
+	}
+	env := job.Env{Model: func(build func() (*gnn.Model, error)) (*gnn.Model, error) {
+		return evaluator(*modelPath, *epochs, shared.CheckpointDir, build)
+	}}
+	if shared.CheckpointDir != "" {
+		env.TrainCkpt = filepath.Join(shared.CheckpointDir, "train.ckpt")
+		env.RefineCkpt = filepath.Join(shared.CheckpointDir, "refine.ckpt")
+		env.Resume = shared.Resume
+	}
+	out, err := job.Run(prepared, spec, env)
+	if err != nil {
+		log.Fatal(err)
+	}
+	printReport("baseline", out.Baseline)
 	if *baselineOnly {
 		return
 	}
 
-	var m *gnn.Model
-	if *modelPath != "" {
-		if loaded, err := gnn.Load(*modelPath); err == nil {
-			log.Printf("loaded evaluator from %s", *modelPath)
-			m = loaded
-		}
-	}
-	if m == nil {
-		log.Printf("training evaluator (%d epochs)", *epochs)
-		samples := []*train.Sample{smp}
-		aug, err := train.Augment(smp, 2, 10, *seed, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		samples = append(samples, aug...)
-		m = gnn.NewModel(gnn.DefaultConfig(), *seed)
-		opt := train.DefaultOptions()
-		opt.Epochs = *epochs
-		opt.Seed = *seed
-		opt.Workers = *workers
-		opt.Obs = sink
-		opt.Budget = budget
-		if shared.CheckpointDir != "" {
-			opt.CheckpointPath = filepath.Join(shared.CheckpointDir, "train.ckpt")
-			opt.Resume = shared.Resume
-		}
-		if _, err := train.Train(m, samples, opt); err != nil {
-			log.Fatal(err)
-		}
-		if *modelPath != "" {
-			if err := m.Save(*modelPath); err != nil {
-				log.Fatal(err)
-			}
-			manifest.ModelHash = m.Hash()
-			saveManifest(*modelPath)
-			log.Printf("saved evaluator to %s", *modelPath)
-		}
-	}
-	manifest.ModelHash = m.Hash()
-	if shared.CheckpointDir != "" {
-		if err := manifest.WriteFile(filepath.Join(shared.CheckpointDir, "manifest.json")); err != nil {
-			log.Fatal(err)
-		}
-	}
-	sc, err := train.Evaluate(m, smp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("evaluator R²: all-pins %.4f, endpoints %.4f", sc.ArrivalAll, sc.ArrivalEnds)
-	sink.Event("train.eval",
-		obs.KV{K: "design", V: *design},
-		obs.KV{K: "r2_all", V: sc.ArrivalAll}, obs.KV{K: "r2_ends", V: sc.ArrivalEnds})
-
-	opt := core.DefaultOptions()
-	opt.N = *iters
-	opt.CandidateLanes = *lanes
-	opt.Budget = budget
-	if len(corners) > 0 {
-		opt.Corners = core.CornerTermsFor(corners)
-		opt.HoldGuard = true
-	}
-	if shared.CheckpointDir != "" {
-		opt.CheckpointPath = filepath.Join(shared.CheckpointDir, "refine.ckpt")
-		opt.Resume = shared.Resume
-	}
-	ref, err := core.NewRefiner(m, smp.Batch, smp.Prepared, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("refining Steiner points (N=%d, rounds=%d)", opt.N, *rounds)
-	res, err := ref.RefineRounds(*rounds)
-	if err != nil {
-		log.Fatal(err)
-	}
+	log.Printf("evaluator R²: all-pins %.4f, endpoints %.4f", out.Scores.ArrivalAll, out.Scores.ArrivalEnds)
+	res := out.Refine
 	log.Printf("refinement: %d iterations in %.1fs, evaluator WNS %.3f→%.3f TNS %.1f→%.1f",
 		res.Iterations, res.RuntimeSec, res.InitWNS, res.BestWNS, res.InitTNS, res.BestTNS)
 	if res.Cutoff != "" {
@@ -293,20 +243,16 @@ func main() {
 		}
 	}
 
-	rep, err := flow.Signoff(smp.Prepared, res.Forest)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep.TSteinerSec = res.RuntimeSec
+	base, rep := out.Baseline, out.Refined
 	printReport("tsteiner", rep)
 
 	t := report.Table{
 		Title:  "sign-off comparison",
 		Header: []string{"flow", "WNS", "TNS", "#Vios", "WL", "#Vias", "#DRV"},
 	}
-	t.AddRow("baseline", report.F(smp.Baseline.WNS, 3), report.F(smp.Baseline.TNS, 1),
-		report.I(smp.Baseline.Vios), fmt.Sprint(smp.Baseline.WirelengthDBU),
-		report.I(smp.Baseline.Vias), report.I(smp.Baseline.DRVs))
+	t.AddRow("baseline", report.F(base.WNS, 3), report.F(base.TNS, 1),
+		report.I(base.Vios), fmt.Sprint(base.WirelengthDBU),
+		report.I(base.Vias), report.I(base.DRVs))
 	t.AddRow("tsteiner", report.F(rep.WNS, 3), report.F(rep.TNS, 1),
 		report.I(rep.Vios), fmt.Sprint(rep.WirelengthDBU),
 		report.I(rep.Vias), report.I(rep.DRVs))
@@ -316,7 +262,7 @@ func main() {
 
 	if *svgPath != "" {
 		if err := writeFile(*svgPath, func(w io.Writer) error {
-			return viz.WriteLayoutSVG(w, smp.Prepared.Design, res.Forest, viz.DefaultLayoutOptions())
+			return viz.WriteLayoutSVG(w, prepared.Design, out.Forest, viz.DefaultLayoutOptions())
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -325,13 +271,50 @@ func main() {
 	}
 	if *forestPath != "" {
 		if err := writeFile(*forestPath, func(w io.Writer) error {
-			return designio.WriteForestJSON(w, res.Forest)
+			return designio.WriteForestJSON(w, out.Forest)
 		}); err != nil {
 			log.Fatal(err)
 		}
 		saveManifest(*forestPath)
 		log.Printf("refined forest written to %s", *forestPath)
 	}
+}
+
+// evaluator is the -model policy behind the job's model hook: an
+// existing file is loaded, and a missing one (or no -model) is trained
+// through build and then saved there. A file that exists but does not
+// load is an error and is left untouched. The model hash goes into the
+// run manifest, and into its -checkpoint-dir copy before refinement.
+func evaluator(path string, epochs int, ckptDir string, build func() (*gnn.Model, error)) (*gnn.Model, error) {
+	var m *gnn.Model
+	if path != "" {
+		var err error
+		if m, err = gnn.Load(path); err == nil {
+			log.Printf("loaded evaluator from %s", path)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("load evaluator %s: %w", path, err)
+		}
+	}
+	trained := m == nil
+	if trained {
+		log.Printf("training evaluator (%d epochs)", epochs)
+		var err error
+		if m, err = build(); err != nil {
+			return nil, err
+		}
+	}
+	manifest.ModelHash = m.Hash()
+	if trained && path != "" {
+		if err := m.Save(path); err != nil {
+			return nil, err
+		}
+		saveManifest(path)
+		log.Printf("saved evaluator to %s", path)
+	}
+	if ckptDir == "" {
+		return m, nil
+	}
+	return m, manifest.WriteFile(filepath.Join(ckptDir, "manifest.json"))
 }
 
 // runSharded is the -shards path: tile the benchmark -scaleup times,

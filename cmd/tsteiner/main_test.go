@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -56,4 +57,37 @@ func TestSmoke(t *testing.T) {
 	}
 
 	check.RunFail(t, dir, bin, "-design", "no_such_benchmark")
+}
+
+// TestDeadlineSignsOffBestSoFar: a -deadline that expires during training
+// cuts training and refinement short, but the final sign-off runs without
+// the budget, so the run exits 0 and prints the comparison for the best
+// forest so far.
+func TestDeadlineSignsOffBestSoFar(t *testing.T) {
+	bin := check.GoBuild(t, "tsteiner/cmd/tsteiner")
+	out := check.RunStdout(t, t.TempDir(), bin,
+		"-design", "spm", "-scale", "0.12", "-epochs", "1000000", "-deadline", "2s")
+	if !bytes.Contains(out, []byte("sign-off comparison")) {
+		t.Fatalf("no refined sign-off after the deadline:\n%s", out)
+	}
+}
+
+// TestModelFileUnloadable: a -model file that exists but does not load
+// fails the run by name and is left as it was, never trained over.
+func TestModelFileUnloadable(t *testing.T) {
+	bin := check.GoBuild(t, "tsteiner/cmd/tsteiner")
+	dir := t.TempDir()
+	bad := []byte(`{"not":"a model"`)
+	path := filepath.Join(dir, "bad_model.json")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := check.RunFail(t, dir, bin,
+		"-design", "spm", "-scale", "0.12", "-epochs", "2", "-iters", "2", "-model", "bad_model.json")
+	if !strings.Contains(out, "bad_model.json") {
+		t.Errorf("failure does not name the model file:\n%s", out)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, bad) {
+		t.Errorf("model file changed: %q (%v)", got, err)
+	}
 }

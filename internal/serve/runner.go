@@ -8,23 +8,23 @@ import (
 	"os"
 	"time"
 
-	"tsteiner/internal/core"
 	"tsteiner/internal/designio"
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
 	"tsteiner/internal/guard"
 	"tsteiner/internal/guard/fault"
+	"tsteiner/internal/job"
 	"tsteiner/internal/lib"
 	"tsteiner/internal/obs"
-	"tsteiner/internal/shard"
-	"tsteiner/internal/train"
 )
 
 // Runner executes one job from its spooled request. It is the single
 // execution path behind the daemon's workers; the byte-identity tests
 // run their serial reference through a bare Runner, which is what makes
 // that gate meaningful: "server concurrent" and "serial" literally
-// share this code.
+// share this code. The job body itself is job.Run, which the tsteiner
+// and runflow CLIs run too; the Runner adds the spool, the model cache,
+// the per-job trace and the discard-and-rerun of a corrupt checkpoint.
 //
 // Fault sites (deterministic, nil injector = production):
 //
@@ -112,7 +112,41 @@ func (rn *Runner) Run(req *JobRequest) (*JobResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
 	}
-	rep, timing, err := flow.SignoffTiming(prepared, prepared.Forest)
+
+	spec := job.Spec{
+		Kind: req.Kind, Seed: req.Seed, Epochs: req.Epochs, AugmentVariants: req.AugmentVariants,
+		Iters: req.Iters, Lanes: req.Lanes, Rounds: 1, Shards: req.Shards,
+	}
+	env := job.Env{
+		TrainCkpt:  rn.Spool.TrainCkptPath(req.ID),
+		RefineCkpt: rn.Spool.RefineCkptPath(req.ID),
+		Resume:     true,
+		// The family's evaluator comes from the cache, trained through
+		// its singleflight on a miss. Deadline jobs get read-only access:
+		// a budget may truncate training, and a truncated model must
+		// never be persisted under the family key (ModelCache.Cached).
+		Model: func(build func() (*gnn.Model, error)) (*gnn.Model, error) {
+			if budget == nil {
+				return rn.Cache.Get(family, build)
+			}
+			if m, ok := rn.Cache.Cached(family); ok {
+				return m, nil
+			}
+			return build()
+		},
+	}
+	out, err := job.Run(prepared, spec, env)
+	var ce *guard.CorruptError
+	for errors.As(err, &ce) && (ce.Path == env.TrainCkpt || ce.Path == env.RefineCkpt) {
+		// A torn or tampered checkpoint must never poison the job: discard
+		// it and run again from scratch — byte-identical, because the job
+		// is deterministic.
+		rn.Obs.Add("serve.ckpt_corrupt", 1)
+		if err := os.Remove(ce.Path); err != nil {
+			return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
+		}
+		out, err = job.Run(prepared, spec, env)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
 	}
@@ -122,98 +156,31 @@ func (rn *Runner) Run(req *JobRequest) (*JobResult, error) {
 		Kind:            req.Kind,
 		Design:          d.Name,
 		Seed:            req.Seed,
-		Baseline:        metricsOf(rep),
-		BaselineCorners: rep.Corners,
+		Baseline:        metricsOf(out.Baseline),
+		BaselineCorners: out.Baseline.Corners,
 	}
-
-	finalForest := prepared.Forest
-	if req.Kind == KindRefine && req.Shards > 0 {
-		// Sharded incremental refinement: no evaluator and no training —
-		// the windowed-STA loop replaces the GNN. Byte-identical at any
-		// Shards/Workers value, so the artifacts stay a pure function of
-		// the request minus its concurrency knobs.
-		sopt := shard.DefaultOptions()
-		sopt.Shards = req.Shards
-		sopt.Workers = req.Workers
-		sopt.Rounds = req.Iters
-		sopt.Corners = req.Corners
-		sres, err := shard.Refine(prepared, sopt)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: sharded refine: %w", req.ID, err)
-		}
-		res.Iterations = sres.Rounds
-		res.EvalInitWNS, res.EvalBestWNS = sres.InitWNS, sres.WNS
-		res.EvalInitTNS, res.EvalBestTNS = sres.InitTNS, sres.TNS
-
-		// Like the GNN path, the final sign-off measurement runs
-		// budget-free on the refined forest.
-		finalPrep := *prepared
-		finalCfg := prepared.Config
-		finalCfg.Budget = nil
-		finalPrep.Config = finalCfg
-		rep2, err := flow.Signoff(&finalPrep, sres.Forest)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-		}
-		ref := metricsOf(rep2)
+	if out.Refined != nil {
+		ref := metricsOf(out.Refined)
 		res.Refined = &ref
-		res.RefinedCorners = rep2.Corners
-		finalForest = sres.Forest
-	} else if req.Kind == KindTrain || req.Kind == KindRefine {
-		smp := &train.Sample{
-			Name:     d.Name,
-			Train:    true,
-			Prepared: prepared,
-			Batch:    nil, // filled below
-			Forest:   prepared.Forest,
-			Labels:   gnn.Labels(timing),
-			Baseline: rep,
-		}
-		smp.Batch, err = gnn.NewBatch(prepared.Design, prepared.Forest)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-		}
+		res.RefinedCorners = out.Refined.Corners
+	}
+	if s := out.Shard; s != nil {
+		res.Iterations = s.Rounds
+		res.EvalInitWNS, res.EvalBestWNS = s.InitWNS, s.WNS
+		res.EvalInitTNS, res.EvalBestTNS = s.InitTNS, s.TNS
+	}
+	if out.Model != nil {
 		res.FamilyHash = family
-		m, err := rn.model(req, family, smp, budget, jobSink)
-		if err != nil {
-			return nil, err
-		}
-		res.ModelHash = m.Hash()
-		sc, err := train.Evaluate(m, smp)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-		}
-		res.R2All, res.R2Ends = sc.ArrivalAll, sc.ArrivalEnds
-
-		if req.Kind == KindRefine {
-			rres, err := rn.refine(req, m, smp, prepared, budget)
-			if err != nil {
-				return nil, err
-			}
-			res.Iterations = rres.Iterations
-			res.ConvergedByRatio = rres.ConvergedByRatio
-			res.EvalInitWNS, res.EvalBestWNS = rres.InitWNS, rres.BestWNS
-			res.EvalInitTNS, res.EvalBestTNS = rres.InitTNS, rres.BestTNS
-			res.Cutoff = rres.Cutoff
-			res.Degraded = rres.Degraded
-			res.Recoveries = rres.Recoveries
-
-			// The final sign-off measurement always runs, budget-free: a
-			// job whose budget expired mid-refinement still answers with
-			// the sign-off of its best-so-far forest — degradation, not
-			// an error.
-			finalPrep := *prepared
-			finalCfg := prepared.Config
-			finalCfg.Budget = nil
-			finalPrep.Config = finalCfg
-			rep2, err := flow.Signoff(&finalPrep, rres.Forest)
-			if err != nil {
-				return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-			}
-			ref := metricsOf(rep2)
-			res.Refined = &ref
-			res.RefinedCorners = rep2.Corners
-			finalForest = rres.Forest
+		res.ModelHash = out.Model.Hash()
+		res.R2All, res.R2Ends = out.Scores.ArrivalAll, out.Scores.ArrivalEnds
+		if r := out.Refine; r != nil {
+			res.Iterations = r.Iterations
+			res.ConvergedByRatio = r.ConvergedByRatio
+			res.EvalInitWNS, res.EvalBestWNS = r.InitWNS, r.BestWNS
+			res.EvalInitTNS, res.EvalBestTNS = r.InitTNS, r.BestTNS
+			res.Cutoff = r.Cutoff
+			res.Degraded = r.Degraded
+			res.Recoveries = r.Recoveries
 		}
 		// A budget that expired during training (clean early stop, no
 		// refine cutoff recorded) is still a degradation the caller must
@@ -229,133 +196,12 @@ func (rn *Runner) Run(req *JobRequest) (*JobResult, error) {
 	}
 
 	if err := guard.AtomicWriteFunc(rn.Spool.ForestPath(req.ID), func(w io.Writer) error {
-		return designio.WriteForestJSON(w, finalForest)
+		return designio.WriteForestJSON(w, out.Forest)
 	}); err != nil {
 		return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
 	}
 	if err := rn.Spool.WriteResult(res, nil); err != nil {
 		return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-	}
-	return res, nil
-}
-
-// model returns the family's trained evaluator, training it through the
-// cache's singleflight on a miss. An injected "serve.kill.train" stops
-// training partway with its checkpoint on disk and surfaces
-// ErrInterrupted; a corrupt training checkpoint is discarded (counted)
-// and training restarts from scratch — byte-identical either way.
-func (rn *Runner) model(req *JobRequest, family string, smp *train.Sample, budget *guard.Budget, jobSink *obs.Sink) (*gnn.Model, error) {
-	build := func() (*gnn.Model, error) {
-		samples := []*train.Sample{smp}
-		if req.AugmentVariants > 0 {
-			aug, err := train.Augment(smp, req.AugmentVariants, 10, req.Seed, req.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-			}
-			samples = append(samples, aug...)
-		}
-		m := gnn.NewModel(gnn.DefaultConfig(), req.Seed)
-		topt := train.DefaultOptions()
-		topt.Epochs = req.Epochs
-		topt.Seed = req.Seed
-		topt.Obs = jobSink
-		topt.Budget = budget
-		topt.Fault = rn.Fault
-		ckpt := rn.Spool.TrainCkptPath(req.ID)
-		topt.CheckpointPath = ckpt
-		topt.Resume = fileExists(ckpt)
-
-		interrupted := false
-		if rn.Fault.Fire("serve.kill.train") {
-			// Simulated process kill: run only half the epochs, leave the
-			// checkpoint, report interruption. The resumed run finishes
-			// the remaining epochs byte-identically.
-			topt.Epochs = req.Epochs / 2
-			if topt.Epochs < 1 {
-				topt.Epochs = 1
-			}
-			interrupted = true
-		}
-
-		_, err := train.Train(m, samples, topt)
-		var ce *guard.CorruptError
-		if errors.As(err, &ce) {
-			// A torn or tampered checkpoint must never poison the job:
-			// discard it and train from scratch — the result is
-			// byte-identical because training is deterministic.
-			rn.Obs.Add("serve.ckpt_corrupt", 1)
-			os.Remove(ckpt)
-			topt.Resume = false
-			m = gnn.NewModel(gnn.DefaultConfig(), req.Seed)
-			_, err = train.Train(m, samples, topt)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: train: %w", req.ID, err)
-		}
-		if interrupted {
-			return nil, fmt.Errorf("serve: job %s: mid-train: %w", req.ID, ErrInterrupted)
-		}
-		return m, nil
-	}
-	if budget != nil {
-		// Deadline jobs: read-only cache access. A budget may truncate
-		// training mid-way (clean stop), and a truncated model must never
-		// be persisted under the family key — see ModelCache.Cached.
-		if m, ok := rn.Cache.Cached(family); ok {
-			return m, nil
-		}
-		return build()
-	}
-	return rn.Cache.Get(family, build)
-}
-
-// refine runs the TSteiner loop with per-iteration checkpoints. An
-// injected "serve.kill.refine" stops it partway (checkpoint on disk,
-// ErrInterrupted); a corrupt refinement checkpoint is discarded (counted)
-// and the loop restarts from the prepared forest.
-func (rn *Runner) refine(req *JobRequest, m *gnn.Model, smp *train.Sample, prepared *flow.Prepared, budget *guard.Budget) (*core.Result, error) {
-	ckpt := rn.Spool.RefineCkptPath(req.ID)
-	opt := core.DefaultOptions()
-	opt.N = req.Iters
-	opt.CandidateLanes = req.Lanes
-	opt.Budget = budget
-	opt.Fault = rn.Fault
-	opt.CheckpointPath = ckpt
-	opt.Resume = fileExists(ckpt)
-	if len(req.Corners) > 0 {
-		opt.Corners = core.CornerTermsFor(req.Corners)
-		opt.HoldGuard = true
-	}
-
-	interrupted := false
-	if rn.Fault.Fire("serve.kill.refine") {
-		opt.N = req.Iters / 2
-		if opt.N < 1 {
-			opt.N = 1
-		}
-		interrupted = true
-	}
-
-	run := func(o core.Options) (*core.Result, error) {
-		ref, err := core.NewRefiner(m, smp.Batch, prepared, o)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %s: %w", req.ID, err)
-		}
-		return ref.Refine()
-	}
-	res, err := run(opt)
-	var ce *guard.CorruptError
-	if errors.As(err, &ce) {
-		rn.Obs.Add("serve.ckpt_corrupt", 1)
-		os.Remove(ckpt)
-		opt.Resume = false
-		res, err = run(opt)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: job %s: refine: %w", req.ID, err)
-	}
-	if interrupted {
-		return nil, fmt.Errorf("serve: job %s: mid-refine: %w", req.ID, ErrInterrupted)
 	}
 	return res, nil
 }
@@ -389,9 +235,4 @@ func metricsOf(r *flow.Report) Metrics {
 		DRVs:          r.DRVs,
 		Overflow:      r.Overflow,
 	}
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

@@ -2,7 +2,9 @@
 // robustness substrates. A long-lived stdlib net/http daemon accepts
 // designs as designio JSON, runs sign-off / train / refine jobs through a
 // bounded work queue, and hands results plus per-job obs NDJSON traces
-// back. The headline property is robustness — no request can crash the
+// back. The job body is job.Run, the same one the tsteiner and runflow
+// CLIs run; Runner wraps it in the spool, the model cache and the trace.
+// The headline property is robustness — no request can crash the
 // process, hang it, or make its results depend on load:
 //
 //   - Admission control: the queue is bounded; a full queue answers
@@ -38,9 +40,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 
+	"tsteiner/internal/job"
 	"tsteiner/internal/sta"
 )
 
@@ -50,9 +52,9 @@ import (
 // full TSteiner loop — train (or reuse the cached evaluator), refine
 // Steiner points, and re-run sign-off on the refined forest.
 const (
-	KindSignoff = "signoff"
-	KindTrain   = "train"
-	KindRefine  = "refine"
+	KindSignoff = job.KindSignoff
+	KindTrain   = job.KindTrain
+	KindRefine  = job.KindRefine
 )
 
 // Job states. Queued and Running are transient; Interrupted means the
@@ -70,7 +72,7 @@ const (
 // ErrInterrupted marks a job stopped mid-run with resumable state on disk
 // (the simulated process kill of the fault matrix). The server parks the
 // job as StateInterrupted; a restart scan re-enqueues and resumes it.
-var ErrInterrupted = errors.New("serve: job interrupted")
+var ErrInterrupted = job.ErrInterrupted
 
 // JobRequest is the POST /jobs body. ID is the client-chosen idempotency
 // key and spool directory name; Design is the designio design JSON,

@@ -65,11 +65,11 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// job is one admitted request and its in-memory lifecycle. state/err/
+// jobEntry is one admitted request and its in-memory lifecycle. state/err/
 // result/attempts are guarded by the server mutex; done is closed exactly
 // once, on reaching a state no worker will touch again (terminal or
 // interrupted).
-type job struct {
+type jobEntry struct {
 	req  *JobRequest
 	seq  int
 	done chan struct{}
@@ -89,11 +89,11 @@ type Server struct {
 	sink   *obs.Sink
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[string]*jobEntry
 	seq      int
 	draining bool
 
-	queue  chan *job
+	queue  chan *jobEntry
 	stop   chan struct{}
 	wg     sync.WaitGroup // workers + recovery feeder
 	httpWG sync.WaitGroup
@@ -118,8 +118,8 @@ func New(opt Options) (*Server, error) {
 		spool:  sp,
 		runner: NewRunner(sp, o.Obs, o.Fault),
 		sink:   o.Obs,
-		jobs:   map[string]*job{},
-		queue:  make(chan *job, o.QueueDepth),
+		jobs:   map[string]*jobEntry{},
+		queue:  make(chan *jobEntry, o.QueueDepth),
 		stop:   make(chan struct{}),
 	}
 	pending, err := s.scan()
@@ -151,12 +151,12 @@ func New(opt Options) (*Server, error) {
 // else — including a torn status or a job killed while "running" — is a
 // survivor to re-run. Re-running a finished job whose status was lost is
 // byte-identical; trusting a torn record would not be.
-func (s *Server) scan() ([]*job, error) {
+func (s *Server) scan() ([]*jobEntry, error) {
 	ids, err := s.spool.ListJobs()
 	if err != nil {
 		return nil, err
 	}
-	var pending []*job
+	var pending []*jobEntry
 	for _, id := range ids {
 		req, err := s.spool.ReadRequest(id)
 		if err != nil {
@@ -198,11 +198,11 @@ func (s *Server) scan() ([]*job, error) {
 }
 
 // register adds a job to the registry (caller need not hold the lock).
-func (s *Server) register(req *JobRequest) *job {
+func (s *Server) register(req *JobRequest) *jobEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	jb := &job{req: req, seq: s.seq, done: make(chan struct{}), state: StateQueued}
+	jb := &jobEntry{req: req, seq: s.seq, done: make(chan struct{}), state: StateQueued}
 	s.jobs[req.ID] = jb
 	return jb
 }
@@ -224,7 +224,7 @@ func (s *Server) worker() {
 // runOne executes one job with panic containment and persists every state
 // transition before it is visible in memory, so a kill between any two
 // statements leaves the spool recoverable.
-func (s *Server) runOne(jb *job) {
+func (s *Server) runOne(jb *jobEntry) {
 	s.mu.Lock()
 	jb.state = StateRunning
 	jb.attempts++
@@ -239,7 +239,7 @@ func (s *Server) runOne(jb *job) {
 
 // runContained is the containment boundary: a panicking job comes back as
 // a *par.PanicError, in the same shape the parallel substrate uses.
-func (s *Server) runContained(jb *job) (res *JobResult, err error) {
+func (s *Server) runContained(jb *jobEntry) (res *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.sink.Add("serve.panics", 1)
@@ -254,7 +254,7 @@ func (s *Server) runContained(jb *job) (res *JobResult, err error) {
 // server only until finish marks them — they resume on the next server
 // start, so for THIS process they are final: close done so waiters see
 // the state instead of hanging.
-func (s *Server) finish(jb *job, res *JobResult, err error) {
+func (s *Server) finish(jb *jobEntry, res *JobResult, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -280,7 +280,7 @@ func (s *Server) finish(jb *job, res *JobResult, err error) {
 }
 
 // status snapshots a job's public view under the lock.
-func (s *Server) status(jb *job) JobStatus {
+func (s *Server) status(jb *jobEntry) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return JobStatus{
@@ -366,7 +366,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	jb := &job{req: req, seq: s.seq, done: make(chan struct{}), state: StateQueued}
+	jb := &jobEntry{req: req, seq: s.seq, done: make(chan struct{}), state: StateQueued}
 	select {
 	case s.queue <- jb:
 		s.jobs[req.ID] = jb
@@ -453,7 +453,7 @@ func (s *Server) handleTraceFile(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, s.spool.TracePath(jb.req.ID))
 }
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *jobEntry {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	jb := s.jobs[id]
