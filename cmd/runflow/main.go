@@ -165,7 +165,7 @@ func main() {
 		}
 	}
 
-	finalForest := out.Forest
+	finalForest := prepared.Forest
 	if *shards > 0 {
 		sopt := shard.DefaultOptions()
 		sopt.Shards = *shards

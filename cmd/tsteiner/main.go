@@ -287,30 +287,30 @@ func main() {
 // run manifest, and into its -checkpoint-dir copy before refinement.
 func evaluator(path string, epochs int, ckptDir string, build func() (*gnn.Model, error)) (*gnn.Model, error) {
 	var m *gnn.Model
+	var err error
 	if path != "" {
-		var err error
-		if m, err = gnn.Load(path); err == nil {
-			log.Printf("loaded evaluator from %s", path)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("load evaluator %s: %w", path, err)
-		}
+		m, err = gnn.Load(path)
 	}
-	trained := m == nil
-	if trained {
+	switch {
+	case m != nil:
+		log.Printf("loaded evaluator from %s", path)
+	case err != nil && !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("load evaluator %s: %w", path, err)
+	default:
 		log.Printf("training evaluator (%d epochs)", epochs)
-		var err error
 		if m, err = build(); err != nil {
 			return nil, err
 		}
+		if path != "" {
+			if err := m.Save(path); err != nil {
+				return nil, err
+			}
+			manifest.ModelHash = m.Hash()
+			saveManifest(path)
+			log.Printf("saved evaluator to %s", path)
+		}
 	}
 	manifest.ModelHash = m.Hash()
-	if trained && path != "" {
-		if err := m.Save(path); err != nil {
-			return nil, err
-		}
-		saveManifest(path)
-		log.Printf("saved evaluator to %s", path)
-	}
 	if ckptDir == "" {
 		return m, nil
 	}

@@ -141,7 +141,6 @@ func Run(p *flow.Prepared, s Spec, e Env) (*Result, error) {
 		topt := train.DefaultOptions()
 		topt.Epochs = s.Epochs
 		topt.Seed = s.Seed
-		topt.Workers = cfg.Workers
 		topt.Obs = cfg.Obs
 		topt.Budget = cfg.Budget
 		topt.Fault = cfg.Fault
@@ -206,10 +205,8 @@ func Run(p *flow.Prepared, s Spec, e Env) (*Result, error) {
 	return res.signoff(p, res.Refine.Forest)
 }
 
-// signoff is the final sign-off of the refined forest f. It always runs
-// to completion: the budget is lifted, so a job whose budget expired
-// answers with the sign-off of its best forest so far — degradation, not
-// an error.
+// signoff is the final sign-off of the refined forest f, with the budget
+// lifted: a cutoff is degradation, not an error.
 func (r *Result) signoff(p *flow.Prepared, f *rsmt.Forest) (*Result, error) {
 	final := *p
 	final.Config.Budget = nil
