@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
+	"tsteiner/internal/obs"
 	"tsteiner/internal/tensor"
 )
 
@@ -206,27 +210,74 @@ func TestBenchReplayByteIdentical(t *testing.T) {
 // multi-candidate refine outcome must be identical between the fused
 // ForwardBatch path and the sequential-forwards reference, across worker
 // counts, and equal to the committed baseline's metrics_batched.
+//
+// The worker count also sets the refiner's lane groups: the BatchLanes
+// candidates split into min(workers, BatchLanes) contiguous blocks,
+// larger blocks first (w=3 runs blocks of 2, 1 and 1; w=4 four one-lane
+// blocks). Every pooled row must record the same iterations and the
+// same number of lane-memo hits as w=1, and at w ≥ 2 the run must accept
+// a lane outside group 0's block before its last iteration, so that a
+// gradient is served from another group's tape.
 func TestBatchReplayByteIdentical(t *testing.T) {
-	outcomes := map[string]*RefineOutcome{}
+	type run struct {
+		out      *RefineOutcome
+		iters    []iterEvent
+		memoHits int64
+	}
+	runs := map[string]run{}
 	for _, c := range []struct {
 		key       string
 		workers   int
 		disableWS bool
 	}{
 		{"ws/w=1", 1, false},
+		{"ws/w=2", 2, false},
+		{"ws/w=3", 3, false},
 		{"ws/w=4", 4, false},
 		{"alloc/w=1", 1, true},
 	} {
-		out, err := newWorkload(t, c.workers).RunRefineBatched(c.disableWS)
+		w := newWorkload(t, c.workers)
+		var trace bytes.Buffer
+		sink := obs.New(&trace)
+		w.Prepared.Config.Obs = sink
+		out, err := w.RunRefineBatched(c.disableWS)
 		if err != nil {
 			t.Fatalf("%s: %v", c.key, err)
 		}
-		outcomes[c.key] = out
+		iters, err := iterEvents(&trace)
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		runs[c.key] = run{out: out, iters: iters, memoHits: counter(sink, "core.lane_memo_hits")}
 	}
-	want := outcomes["alloc/w=1"]
-	for key, got := range outcomes {
-		if *got != *want {
-			t.Errorf("%s batched outcome %+v != alloc/w=1 %+v", key, *got, *want)
+	want := runs["alloc/w=1"].out
+	for key, got := range runs {
+		if *got.out != *want {
+			t.Errorf("%s batched outcome %+v != alloc/w=1 %+v", key, *got.out, *want)
+		}
+	}
+
+	ref := runs["ws/w=1"]
+	if ref.memoHits == 0 {
+		t.Errorf("ws/w=1: no lane-memo hit")
+	}
+	for _, workers := range []int{2, 3, 4} {
+		key := fmt.Sprintf("ws/w=%d", workers)
+		got := runs[key]
+		if !reflect.DeepEqual(got.iters, ref.iters) {
+			t.Errorf("%s iterations %+v != ws/w=1 %+v", key, got.iters, ref.iters)
+		}
+		if got.memoHits != ref.memoHits {
+			t.Errorf("%s: %d lane-memo hits, ws/w=1 has %d", key, got.memoHits, ref.memoHits)
+		}
+		groups := min(workers, BatchLanes)
+		block0 := (BatchLanes + groups - 1) / groups
+		served := false
+		for _, it := range got.iters[:max(len(got.iters)-1, 0)] {
+			served = served || (it.Accepted && it.Lane >= block0)
+		}
+		if !served {
+			t.Errorf("%s accepts no lane past group 0's %d before its last iteration: %+v", key, block0, got.iters)
 		}
 	}
 
@@ -247,6 +298,48 @@ func TestBatchReplayByteIdentical(t *testing.T) {
 	if *want != base.MetricsBatched {
 		t.Errorf("batched refine outcome %+v != recorded baseline %+v", *want, base.MetricsBatched)
 	}
+}
+
+// iterEvent is the part of a core.iter trace event the replay compares.
+type iterEvent struct {
+	Iter     int  `json:"iter"`
+	Lane     int  `json:"lane"`
+	Accepted bool `json:"accepted"`
+}
+
+// iterEvents decodes the core.iter events of an NDJSON trace in order.
+func iterEvents(trace *bytes.Buffer) ([]iterEvent, error) {
+	var out []iterEvent
+	for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var head struct {
+			Ev string `json:"ev"`
+		}
+		if err := json.Unmarshal(line, &head); err != nil {
+			return nil, err
+		}
+		if head.Ev != "core.iter" {
+			continue
+		}
+		var it iterEvent
+		if err := json.Unmarshal(line, &it); err != nil {
+			return nil, err
+		}
+		out = append(out, it)
+	}
+	return out, nil
+}
+
+// counter reads one counter from a sink's snapshot (0 when never added).
+func counter(s *obs.Sink, name string) int64 {
+	for _, c := range s.Snapshot().Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // measure runs fn under testing.Benchmark and returns its cost record.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -32,32 +33,69 @@ func TestBatchedRefineMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	batched := run(false)
-	seq := run(true)
+	requireSameRefine(t, "sequential", run(true), run(false))
+}
 
-	if batched.InitWNS != seq.InitWNS || batched.InitTNS != seq.InitTNS {
-		t.Fatalf("initial metrics diverge: (%v,%v) vs (%v,%v)",
-			batched.InitWNS, batched.InitTNS, seq.InitWNS, seq.InitTNS)
+// TestLaneGroupsByteIdentical holds the split candidate pass to the
+// single fused one: the refiner evaluates its CandidateLanes = 4
+// candidates as min(Workers, 4) lane groups, contiguous blocks of lanes
+// each run as one frozen forward on its own goroutine, and every history
+// record, both best metrics and the final coordinates must equal the
+// Workers 1 run's — at 8 workers too, more than there are lanes. The
+// worker count is set explicitly so the groups split at any GOMAXPROCS,
+// and the test runs in short mode, so the race pass covers the groups.
+func TestLaneGroupsByteIdentical(t *testing.T) {
+	r, _ := fixture(t)
+	run := func(workers int) *Result {
+		prep := *r.Prep
+		prep.Config.Workers = workers
+		opt := DefaultOptions()
+		opt.CandidateLanes = 4
+		opt.Mu = 10 // never converge by ratio: exercise every iteration
+		opt.N = 12
+		r2, err := NewRefiner(r.Model, r.Batch, &prep, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r2.Refine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if batched.BestWNS != seq.BestWNS || batched.BestTNS != seq.BestTNS {
-		t.Fatalf("best metrics diverge: (%v,%v) vs (%v,%v)",
-			batched.BestWNS, batched.BestTNS, seq.BestWNS, seq.BestTNS)
+	want := run(1)
+	for _, workers := range []int{2, 3, 4, 8} {
+		requireSameRefine(t, fmt.Sprintf("workers %d", workers), run(workers), want)
 	}
-	if batched.Iterations != seq.Iterations || len(batched.History) != len(seq.History) {
-		t.Fatalf("iteration counts diverge: %d/%d vs %d/%d",
-			batched.Iterations, len(batched.History), seq.Iterations, len(seq.History))
+}
+
+// requireSameRefine fails t unless got and want are the same refinement
+// bit for bit: initial and best metrics, iteration count, every history
+// record and the final Steiner coordinates.
+func requireSameRefine(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.InitWNS != want.InitWNS || got.InitTNS != want.InitTNS {
+		t.Fatalf("%s: initial metrics diverge: (%v,%v) vs (%v,%v)",
+			what, got.InitWNS, got.InitTNS, want.InitWNS, want.InitTNS)
 	}
-	for i := range batched.History {
-		b, s := batched.History[i], seq.History[i]
-		if b != s {
-			t.Fatalf("history[%d] diverges: %+v vs %+v", i, b, s)
+	if got.BestWNS != want.BestWNS || got.BestTNS != want.BestTNS {
+		t.Fatalf("%s: best metrics diverge: (%v,%v) vs (%v,%v)",
+			what, got.BestWNS, got.BestTNS, want.BestWNS, want.BestTNS)
+	}
+	if got.Iterations != want.Iterations || len(got.History) != len(want.History) {
+		t.Fatalf("%s: iteration counts diverge: %d/%d vs %d/%d",
+			what, got.Iterations, len(got.History), want.Iterations, len(want.History))
+	}
+	for i := range got.History {
+		if got.History[i] != want.History[i] {
+			t.Fatalf("%s: history[%d] diverges: %+v vs %+v", what, i, got.History[i], want.History[i])
 		}
 	}
-	bx, by, _ := batched.Forest.SteinerPositions()
-	sx, sy, _ := seq.Forest.SteinerPositions()
-	for i := range bx {
-		if bx[i] != sx[i] || by[i] != sy[i] {
-			t.Fatalf("final coordinate %d diverges: (%v,%v) vs (%v,%v)", i, bx[i], by[i], sx[i], sy[i])
+	gx, gy, _ := got.Forest.SteinerPositions()
+	wx, wy, _ := want.Forest.SteinerPositions()
+	for i := range gx {
+		if gx[i] != wx[i] || gy[i] != wy[i] {
+			t.Fatalf("%s: final coordinate %d diverges: (%v,%v) vs (%v,%v)", what, i, gx[i], gy[i], wx[i], wy[i])
 		}
 	}
 }
