@@ -319,6 +319,49 @@ func TestRefineDeterministic(t *testing.T) {
 	}
 }
 
+// TestRefineLeavesTrainedParamsAlone refines with the fixture's freshly
+// trained model, whose parameters training attached as leaves:
+// refinement attaches them as constants, so it must not write a single
+// bit of any parameter's Grad, and it must equal the refine on a clone
+// of the model, which was never trained in place.
+func TestRefineLeavesTrainedParamsAlone(t *testing.T) {
+	r, _ := fixture(t)
+	opt := DefaultOptions()
+	opt.CandidateLanes = 4
+	grads := func() [][]uint64 {
+		var out [][]uint64
+		for _, p := range r.Model.Params() {
+			bits := make([]uint64, len(p.Grad))
+			for i, g := range p.Grad {
+				bits[i] = math.Float64bits(g)
+			}
+			out = append(out, bits)
+		}
+		return out
+	}
+	before := grads()
+	trained, err := NewRefiner(r.Model, r.Batch, r.Prep, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trained.Refine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := grads(); !reflect.DeepEqual(after, before) {
+		t.Error("refinement wrote the trained model's parameter gradients")
+	}
+	clone, err := NewRefiner(r.Model.Clone(), r.Batch, r.Prep, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clone.Refine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRefine(t, "trained model vs its clone", got, want)
+}
+
 func TestRefineRoundsAggregates(t *testing.T) {
 	r, _ := fixture(t)
 	single, err := r.Refine()

@@ -216,8 +216,12 @@ func (tp *Tape) Leaf(t *Tensor) *Tensor {
 	return t
 }
 
-// Constant attaches a tensor to the tape without gradient tracking.
+// Constant attaches a tensor to the tape without gradient tracking. A
+// tensor attached with Leaf before (a model parameter after training)
+// stops tracking too: ops on it record no backward step, and Backward
+// leaves its Grad as it was. Leaf turns tracking back on.
 func (tp *Tape) Constant(t *Tensor) *Tensor {
+	t.requiresGrad = false
 	t.tape = tp
 	return t
 }

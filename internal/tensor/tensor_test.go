@@ -606,3 +606,51 @@ func TestTapeResetReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestConstantDropsLeafTracking attaches a tensor as a Leaf, then as a
+// Constant on a fresh tape: ops on it must record no gradient, and a
+// Backward through a loss that uses it must leave its Grad untouched.
+func TestConstantDropsLeafTracking(t *testing.T) {
+	w := randTensor(3, 1, 1)
+	NewTape().Leaf(w)
+	for i := range w.Grad {
+		w.Grad[i] = float64(i) + 0.5
+	}
+	before := append([]float64(nil), w.Grad...)
+
+	tp := NewTape()
+	tp.Constant(w)
+	if w.RequiresGrad() {
+		t.Fatal("Constant kept the former leaf's gradient tracking")
+	}
+	scaled, err := tp.Scale(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled.RequiresGrad() || len(tp.backwards) != 0 {
+		t.Fatalf("op on a constant tracks gradients: requiresGrad %v, %d backward steps",
+			scaled.RequiresGrad(), len(tp.backwards))
+	}
+	x := tp.Leaf(randTensor(3, 1, 2))
+	prod, err := tp.Mul(x, scaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := tp.Sum(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.Backward(loss); err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Grad {
+		if w.Grad[i] != before[i] {
+			t.Fatalf("Backward wrote the constant's Grad[%d]: %v, was %v", i, w.Grad[i], before[i])
+		}
+	}
+	for i := range x.Grad {
+		if x.Grad[i] != scaled.Data[i] {
+			t.Fatalf("leaf Grad[%d] = %v, want %v", i, x.Grad[i], scaled.Data[i])
+		}
+	}
+}
