@@ -129,14 +129,17 @@ type Options struct {
 	DisableWorkspace bool
 
 	// CandidateLanes sets the number K of candidate steps evaluated per
-	// iteration in one fused batched forward pass: lane 0 takes the full
-	// SO step and lane k scales the displacement by 2^-k — a
-	// backtracking line search along the SO direction whose K
-	// evaluations share one amortized forward over the batch's
-	// precomputed structure tables. The lane with the best hard metrics
-	// (max WNS, ties by TNS, then lowest lane) becomes the iteration's
-	// candidate and meets the usual accept rule. 0 and 1 both mean
-	// K = 1, the single-candidate algorithm of the paper.
+	// iteration in one batched candidate pass: lane 0 takes the full SO
+	// step and lane k scales the displacement by 2^-k — a backtracking
+	// line search along the SO direction whose K evaluations share
+	// amortized forwards over the batch's precomputed structure tables.
+	// The pass runs as min(flow.Config.Workers, K) lane groups, each one
+	// fused forward over a contiguous block of lanes on its own
+	// goroutine; results are byte-identical at any worker count. The lane
+	// with the best hard metrics (max WNS, ties by TNS, then lowest lane)
+	// becomes the iteration's candidate and meets the usual accept rule.
+	// 0 and 1 both mean K = 1, the single-candidate algorithm of the
+	// paper.
 	CandidateLanes int
 }
 
@@ -198,7 +201,8 @@ type Refiner struct {
 	Opt   Options
 
 	// sess is the lazily-built workspace evaluation session (one per
-	// refiner, hence one per worker in parallel fan-outs).
+	// refiner, hence one per worker in parallel fan-outs; its candidate
+	// pass fans out over its own lane groups).
 	sess *evalSession
 }
 
@@ -243,7 +247,7 @@ func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 }
 
 // forward runs the evaluator at f's positions: the session's frozen
-// forward on its pooled tape, or the full forward on a fresh allocating
+// forward on lane group 0's pooled tape, or the full forward on a fresh allocating
 // tape when Options.DisableWorkspace selects the reference path.
 func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys, slack *tensor.Tensor, err error) {
 	s, err := r.session()
@@ -252,11 +256,12 @@ func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys, slack *tenso
 	}
 	if s != nil {
 		s.invalidate() // the tape reset reclaims the lane memo's storage
-		tp = s.ws.Tape()
+		g := &s.groups[0]
+		tp = g.ws.Tape()
 		if err := r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
 			return nil, nil, nil, nil, err
 		}
-		bp, err := s.fz.ForwardBatch(tp, 1, s.curX, s.curY)
+		bp, err := g.fz.ForwardBatch(tp, 1, s.curX, s.curY)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -774,10 +779,11 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 		{K: "init_tns", V: res.InitTNS}, {K: "best_tns", V: res.BestTNS},
 	}
 	if r.sess != nil {
-		st := r.sess.ws.Stats()
+		st := r.sess.wsStats()
 		done = append(done,
 			obs.KV{K: "ws_grabs", V: st.Grabs},
-			obs.KV{K: "ws_hits", V: st.Hits})
+			obs.KV{K: "ws_hits", V: st.Hits},
+			obs.KV{K: "lane_groups", V: len(r.sess.groups)})
 	}
 	r.sink().Event("core.done", done...)
 	return res, nil
@@ -826,10 +832,11 @@ func (r *Refiner) stageCandidates(lanes int, baseX, baseY, dx, dy, x0, y0 []floa
 	return nil
 }
 
-// evalCandidates produces the hard metrics of the staged candidates: one
-// fused frozen forward over all lanes on the session path, K plain full
-// forwards on the allocating reference path — byte-identical per lane by
-// the tensor package's lane contract and the frozen forward's.
+// evalCandidates produces the hard metrics of the staged candidates: the
+// session's candidate pass on the session path (one fused frozen forward
+// per lane group, the groups side by side), K plain full forwards on the
+// allocating reference path — byte-identical per lane by the tensor
+// package's lane contract and the frozen forward's.
 func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) error {
 	r.sink().Add("core.evals", int64(lanes))
 	s, err := r.session()
@@ -838,8 +845,7 @@ func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) 
 	}
 	if s != nil {
 		t0 := time.Now()
-		bp, err := s.forwardBatch(lanes, laneXs, laneYs)
-		if err != nil {
+		if err := s.forwardBatch(lanes, laneXs, laneYs); err != nil {
 			return err
 		}
 		// Telemetry: lanes evaluated per batched pass and the amortized
@@ -847,7 +853,8 @@ func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) 
 		r.sink().Add("core.batch_lanes", int64(lanes))
 		r.sink().Observe("gnn.batch_amortized_ns", float64(time.Since(t0).Nanoseconds())/float64(lanes))
 		for k := 0; k < lanes; k++ {
-			wns[k], tns[k] = r.metricsFromSlack(bp.LaneSlack(k))
+			g, j := s.lane(k)
+			wns[k], tns[k] = r.metricsFromSlack(g.bp.LaneSlack(j))
 		}
 		return nil
 	}

@@ -41,7 +41,10 @@ import (
 // Frozen is a batch's frozen rows under fixed model weights, with the
 // moving sub-batch the frozen forward evaluates. It is valid while the
 // model's parameters stay unchanged, as they do during refinement, and,
-// like the model, must not be used from two goroutines at once.
+// like the model, must not be used from two goroutines at once; Clone
+// gives each further goroutine a view of the same rows over its own
+// model clone, with bit-identical results (core's refiner runs its lane
+// groups this way).
 type Frozen struct {
 	m      *Model
 	b      *Batch
@@ -115,6 +118,16 @@ func (m *Model) Freeze(tp *tensor.Tape, b *Batch) (*Frozen, error) {
 // on the moving trees only.
 func (fz *Frozen) ForwardBatch(tp *tensor.Tape, lanes int, coordsX, coordsY []float64) (*BatchPrediction, error) {
 	return fz.m.forwardBatch(tp, fz.b, fz, lanes, coordsX, coordsY, false)
+}
+
+// Clone returns a Frozen over a clone of the model that shares the
+// receiver's moving sub-batch, frozen wire deltas and sink rows, which
+// are read-only after Freeze. The two may run forwards from two
+// goroutines at once.
+func (fz *Frozen) Clone() *Frozen {
+	c := *fz
+	c.m = fz.m.Clone()
+	return &c
 }
 
 // mergeWireDelta places the moving sinks' wire deltas and the frozen ones

@@ -118,9 +118,10 @@ func NewModel(cfg Config, seed int64) *Model {
 // receiver. Forward attaches parameters to the caller's tape (writing the
 // tensors' tape pointer and, when training, their gradient buffers), so a
 // model must not be used from two goroutines at once — concurrent
-// evaluation or refinement runs must each operate on their own clone.
-// Cloned parameters are value-identical, so predictions and gradients are
-// byte-identical to the original's.
+// evaluation or refinement runs must each operate on their own clone,
+// and so does each lane group of a refiner's candidate pass, one per
+// worker (Frozen.Clone). Cloned parameters are value-identical, so
+// predictions and gradients are byte-identical to the original's.
 func (m *Model) Clone() *Model {
 	c := NewModel(m.Cfg, 0)
 	dst := c.Params()
