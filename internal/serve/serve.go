@@ -98,8 +98,10 @@ type JobRequest struct {
 	Lanes           int
 	AugmentVariants int
 
-	// Workers bounds the job's internal parallel fan-outs
-	// (0 = all CPUs). Results are byte-identical at any value.
+	// Workers bounds the job's internal parallel fan-outs (0 = all
+	// CPUs), and with it the lane groups a refine job evaluates its
+	// candidate lanes in, one workspace and model clone each. Results
+	// are byte-identical at any value.
 	Workers int
 
 	// Shards > 0 switches a refine job to the sharded incremental
@@ -171,6 +173,11 @@ const (
 	// lane. Lane k scales the step by 2^-k, so past ~53 lanes a float64
 	// step adds nothing to the base position: more lanes only cost memory.
 	maxLanes = 64
+	// Workers sets the goroutines of the job's parallel stages (par.Map
+	// starts min(Workers, items)) and the lane groups of a refine job,
+	// each holding a workspace and a model clone. 256 is ample for any
+	// host this daemon targets.
+	maxWorkers = 256
 	// Augment clones the forest once per variant before labelling any of
 	// them, then runs one full sign-off per variant. The default is 2;
 	// 256 bounds both the clones held at once and the job's work.
@@ -217,6 +224,9 @@ func (r *JobRequest) Validate() error {
 	}
 	if r.Lanes > maxLanes {
 		return fmt.Errorf("serve: job %s asks for %d lanes (max %d)", r.ID, r.Lanes, maxLanes)
+	}
+	if r.Workers > maxWorkers {
+		return fmt.Errorf("serve: job %s asks for %d workers (max %d)", r.ID, r.Workers, maxWorkers)
 	}
 	if r.AugmentVariants > maxAugment {
 		return fmt.Errorf("serve: job %s asks for %d augment variants (max %d)", r.ID, r.AugmentVariants, maxAugment)

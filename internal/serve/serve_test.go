@@ -537,6 +537,7 @@ func TestServeJobValidation(t *testing.T) {
 		"design file":  `{"ID":"x","Kind":"signoff","Design":{},"DesignFile":"/etc/passwd"}`,
 		"huge epochs":  `{"ID":"x","Kind":"signoff","Design":{},"Epochs":99999999}`,
 		"huge lanes":   `{"ID":"lanes","Kind":"refine","Design":{},"Lanes":16777216}`,
+		"huge workers": `{"ID":"workers","Kind":"refine","Design":{},"Workers":16777216}`,
 		"huge augment": `{"ID":"augment","Kind":"refine","Design":{},"AugmentVariants":1048576}`,
 		"huge corner":  `{"ID":"corner","Kind":"signoff","Design":{},"Corners":[{"Name":"huge","DelayScale":1e308,"SlewScale":1,"ClockScale":1}]}`,
 	} {
