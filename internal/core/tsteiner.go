@@ -247,8 +247,9 @@ func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 }
 
 // forward runs the evaluator at f's positions: the session's frozen
-// forward on lane group 0's pooled tape, or the full forward on a fresh allocating
-// tape when Options.DisableWorkspace selects the reference path.
+// forward on lane group 0's pooled tape, or the full forward on a fresh
+// allocating tape when Options.DisableWorkspace selects the reference
+// path.
 func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys, slack *tensor.Tensor, err error) {
 	s, err := r.session()
 	if err != nil {
