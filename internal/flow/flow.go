@@ -49,8 +49,10 @@ type Config struct {
 	// consumers are unaffected.
 	Corners []sta.Corner
 	// Workers bounds the goroutines used by parallel flow stages
-	// (0 = GOMAXPROCS, 1 = serial). Results are byte-identical for every
-	// worker count; it only affects wall clock.
+	// (0 = GOMAXPROCS, 1 = serial), and a refiner built on the prepared
+	// design splits each candidate pass into min(Workers, lanes) lane
+	// groups. Results are byte-identical for every worker count; it
+	// only affects wall clock.
 	Workers int
 	// Obs receives phase spans and counters (nil = telemetry off). A
 	// strict side channel: enabling it never changes any flow output.

@@ -80,6 +80,9 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # empty. BatchReplay and BatchedRefineMatchesSequential cover the
 # batched path: the fused multi-candidate forward of the refiner's lanes
 # against the sequential reference, bench-, pipeline- and refiner-level.
+# LaneGroupsByteIdentical and BatchReplay's w=2..4 rows cover the lane
+# groups: a candidate pass split into min(workers, lanes) blocks, each
+# on its own goroutine, must equal the single fused pass.
 # DenseMatchesNaive holds the register-blocked Linear/MatMul kernel bit
 # for bit to the naive loops, and TrainHashPinned holds the trainer to a
 # recorded model hash (the replay pins above never see a weight
@@ -88,7 +91,7 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # refinement improves sign-off TNS (every workload above rejects all of
 # its iterations). OutputsPinned holds the stdout and artifact bytes of
 # the compiled tsteiner and runflow CLIs.
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|RefineAcceptPinned|OutputsPinned' ./...
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|LaneGroupsByteIdentical|RefineAcceptPinned|OutputsPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json or
