@@ -310,24 +310,18 @@ type iterEvent struct {
 // iterEvents decodes the core.iter events of an NDJSON trace in order.
 func iterEvents(trace *bytes.Buffer) ([]iterEvent, error) {
 	var out []iterEvent
-	for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var head struct {
+	dec := json.NewDecoder(trace)
+	for dec.More() {
+		var ev struct {
 			Ev string `json:"ev"`
+			iterEvent
 		}
-		if err := json.Unmarshal(line, &head); err != nil {
+		if err := dec.Decode(&ev); err != nil {
 			return nil, err
 		}
-		if head.Ev != "core.iter" {
-			continue
+		if ev.Ev == "core.iter" {
+			out = append(out, ev.iterEvent)
 		}
-		var it iterEvent
-		if err := json.Unmarshal(line, &it); err != nil {
-			return nil, err
-		}
-		out = append(out, it)
 	}
 	return out, nil
 }

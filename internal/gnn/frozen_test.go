@@ -56,9 +56,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestFrozenForwardMatchesFull is the equality gate of the frozen
-// forward: at K ∈ {1, 4} lanes, Frozen.ForwardBatch must reproduce
-// ForwardBatch's arrivals, slacks and the coordinate gradients of every
-// lane's LSE penalty bit for bit. spm mixes trees with and without
+// forward: at K ∈ {1, 4} lanes, Frozen.ForwardBatch, and a Clone of it
+// on a workspace of its own, must reproduce ForwardBatch's arrivals,
+// slacks and the coordinate gradients of every lane's LSE penalty bit
+// for bit. spm mixes trees with and without
 // Steiner points (for the default and the netlist-only model); the
 // inverter chain has none, so every tree is frozen and the moving
 // sub-batch is empty.
@@ -108,6 +109,10 @@ func TestFrozenForwardMatchesFull(t *testing.T) {
 			if mv.NSteiner != b.NSteiner {
 				t.Fatalf("moving half has %d Steiner vars, batch %d", mv.NSteiner, b.NSteiner)
 			}
+			clone, cws := fz.Clone(), tensor.NewWorkspace()
+			if clone.m == fz.m {
+				t.Fatal("Clone shares the receiver's model")
+			}
 
 			bx, by, _ := tc.p.Forest.SteinerPositions()
 			base := [2][]float64{bx, by}
@@ -119,13 +124,20 @@ func TestFrozenForwardMatchesFull(t *testing.T) {
 				frozen := func(tp *tensor.Tape) (*BatchPrediction, error) {
 					return fz.ForwardBatch(tp, K, cx, cy)
 				}
+				cloned := func(tp *tensor.Tape) (*BatchPrediction, error) {
+					return clone.ForwardBatch(tp, K, cx, cy)
+				}
 				for pick := 0; pick < K; pick++ {
 					want := runLane(t, tensor.NewTape(), full, pick)
-					got := runLane(t, ws.Tape(), frozen, pick)
-					sameBits(t, "arrival", got.arrival, want.arrival)
-					sameBits(t, "slack", got.slack, want.slack)
-					sameBits(t, "grad x", got.gx, want.gx)
-					sameBits(t, "grad y", got.gy, want.gy)
+					for _, got := range []laneRun{
+						runLane(t, ws.Tape(), frozen, pick),
+						runLane(t, cws.Tape(), cloned, pick),
+					} {
+						sameBits(t, "arrival", got.arrival, want.arrival)
+						sameBits(t, "slack", got.slack, want.slack)
+						sameBits(t, "grad x", got.gx, want.gx)
+						sameBits(t, "grad y", got.gy, want.gy)
+					}
 				}
 			}
 		})
