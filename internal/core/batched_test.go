@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tsteiner/internal/obs"
+	"tsteiner/internal/rsmt"
 )
 
 // TestBatchedRefineMatchesSequential is the differential gate for the
@@ -175,6 +176,97 @@ func TestBatchedRefineUsesLaneMemo(t *testing.T) {
 	}
 	if !strings.Contains(summary, "gnn.batch_amortized_ns") {
 		t.Fatalf("no amortized-forward histogram in summary:\n%s", summary)
+	}
+}
+
+// TestLaneMemoMatchesFreshGradient holds every lane's memo-served
+// gradient to a fresh one: after a 4-lane candidate pass, a gradient
+// request at lane j's exact coordinates must be served from the tape of
+// the group that evaluated lane j (one lane-memo hit), and its
+// coordinate gradients and penalty must equal, bit for bit, those a
+// fresh refiner computes at the same coordinates. Workers 1, 2 and 4
+// put the lane at every position within its group. It runs in short
+// mode, so the race pass covers the lane groups' tapes.
+func TestLaneMemoMatchesFreshGradient(t *testing.T) {
+	r, _ := fixture(t)
+	const lanes = 4
+	n := r.Batch.NSteiner
+	base := r.Prep.Forest
+	bx, by, idx := base.SteinerPositions()
+	// Lane k shifts every Steiner point by k·(+3, −2) DBU; routing the
+	// positions through a forest applies the die clamp, so each lane
+	// block holds exactly the coordinates a forest can carry.
+	laneXs, laneYs := make([]float64, lanes*n), make([]float64, lanes*n)
+	forests := make([]*rsmt.Forest, lanes)
+	for k := range forests {
+		lx, ly := laneXs[k*n:(k+1)*n], laneYs[k*n:(k+1)*n]
+		for i := range lx {
+			lx[i] = bx[i] + 3*float64(k)
+			ly[i] = by[i] - 2*float64(k)
+		}
+		f := base.Clone()
+		if err := f.SetSteinerPositions(lx, ly, idx, r.Prep.Design.Die); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Batch.FillSteinerCoords(f, lx, ly); err != nil {
+			t.Fatal(err)
+		}
+		forests[k] = f
+	}
+	lw, lt := r.Opt.LambdaW, r.Opt.LambdaT
+	refiner := func(workers int, sink *obs.Sink) *Refiner {
+		prep := *r.Prep
+		prep.Config.Workers = workers
+		prep.Config.Obs = sink
+		opt := DefaultOptions()
+		opt.CandidateLanes = lanes
+		r2, err := NewRefiner(r.Model, r.Batch, &prep, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r2
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for j := 0; j < lanes; j++ {
+			what := fmt.Sprintf("workers %d lane %d", workers, j)
+			sink := obs.New(nil)
+			memo := refiner(workers, sink)
+			var wns, tns [lanes]float64
+			if err := memo.evalCandidates(lanes, laneXs, laneYs, wns[:], tns[:]); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			gx, gy, p, err := memo.gradients(forests[j], lw, lt)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			var hits int64
+			for _, c := range sink.Snapshot().Counters {
+				if c.Name == "core.lane_memo_hits" {
+					hits = c.Value
+				}
+			}
+			if hits != 1 {
+				t.Fatalf("%s: %d lane-memo hits, want 1", what, hits)
+			}
+			fx, fy, fp, err := refiner(workers, nil).gradients(forests[j], lw, lt)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if math.Float64bits(p) != math.Float64bits(fp) {
+				t.Fatalf("%s: memo penalty %v, fresh %v", what, p, fp)
+			}
+			if !same(gx, fx) || !same(gy, fy) {
+				t.Fatalf("%s: memo gradient differs from a fresh one", what)
+			}
+		}
 	}
 }
 
