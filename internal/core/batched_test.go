@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -34,7 +35,11 @@ func TestBatchedRefineMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	requireSameRefine(t, "sequential", run(true), run(false))
+	for _, disableWS := range []bool{true, false} {
+		if got := refineDigest(run(disableWS)); got != laneRefineDigest {
+			t.Fatalf("allocating %v: refine digest %s, want %s", disableWS, got, laneRefineDigest)
+		}
+	}
 }
 
 // TestLaneGroupsByteIdentical holds the split candidate pass to the
@@ -65,9 +70,27 @@ func TestLaneGroupsByteIdentical(t *testing.T) {
 		return res
 	}
 	want := run(1)
+	if got := refineDigest(want); got != laneRefineDigest {
+		t.Fatalf("workers 1: refine digest %s, want %s", got, laneRefineDigest)
+	}
 	for _, workers := range []int{2, 3, 4, 8} {
 		requireSameRefine(t, fmt.Sprintf("workers %d", workers), run(workers), want)
 	}
+}
+
+// laneRefineDigest is the refineDigest of the 4-lane fixture refinement
+// (Mu 10, N 12) that the allocating reference path produced: a fresh tape
+// per forward, the full graph instead of the frozen rows, one forward per
+// candidate and no lane memo.
+const laneRefineDigest = "19e63a0ce432711fef8924c558708cc90f2f06c2f593334200be49ea68194888"
+
+// refineDigest is the sha256 over a refinement's initial and best
+// metrics, iteration count, history and final Steiner coordinates.
+func refineDigest(res *Result) string {
+	xs, ys, _ := res.Forest.SteinerPositions()
+	s := fmt.Sprintf("%v %v %v %v %d %+v %v %v", res.InitWNS, res.InitTNS, res.BestWNS, res.BestTNS,
+		res.Iterations, res.History, xs, ys)
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(s)))
 }
 
 // requireSameRefine fails t unless got and want are the same refinement

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,10 +15,12 @@ import (
 )
 
 // runWorkspaceFlow runs the small end-to-end pipeline with the refiner
-// either on the pooled workspace + memo path or on the allocating
-// reference path, serializing every algorithmic output exactly like
-// runObsFlow.
-func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
+// evaluating `lanes` line-search candidates per iteration, serializing
+// every algorithmic output exactly like runObsFlow; the lane= column of
+// the history appears only when lanes > 1. disableWS selects the
+// allocating reference path: a fresh tape per evaluation and one forward
+// per candidate.
+func runWorkspaceFlow(t *testing.T, lanes, workers int, disableWS bool) string {
 	t.Helper()
 	cfg := flow.DefaultConfig()
 	cfg.Workers = workers
@@ -35,6 +38,7 @@ func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
 	ropt := core.DefaultOptions()
 	ropt.N = 3
 	ropt.DisableWorkspace = disableWS
+	ropt.CandidateLanes = lanes
 	ref, err := core.NewRefiner(m, smp.Batch, smp.Prepared, ropt)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +59,12 @@ func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
 		loss, res.InitWNS, res.InitTNS, res.BestWNS, res.BestTNS,
 		res.Iterations, res.ConvergedByRatio)
 	for i, h := range res.History {
-		fmt.Fprintf(&b, "iter %d wns=%v tns=%v theta=%v accepted=%v\n",
+		fmt.Fprintf(&b, "iter %d wns=%v tns=%v theta=%v accepted=%v",
 			i, h.WNS, h.TNS, h.Theta, h.Accepted)
+		if lanes > 1 {
+			fmt.Fprintf(&b, " lane=%d", h.Lane)
+		}
+		b.WriteByte('\n')
 	}
 	var fb bytes.Buffer
 	if err := designio.WriteForestJSON(&fb, res.Forest); err != nil {
@@ -66,28 +74,31 @@ func runWorkspaceFlow(t *testing.T, workers int, disableWS bool) string {
 	return b.String()
 }
 
-// TestWorkspaceForwardMatchesAllocating is the workspace determinism gate:
-// the pooled (workspace + forward-memo) evaluation path and the
-// allocating reference path must produce byte-identical pipeline outputs
-// — metrics, per-iteration history and final Steiner coordinates — at
-// workers=1 and workers=4.
-func TestWorkspaceForwardMatchesAllocating(t *testing.T) {
+// TestWorkspacePipelinePinned is the pipeline-level determinism gate of
+// the refiner's evaluation session: with one candidate per iteration and
+// with four lanes, the serialized pipeline output — trained loss,
+// sign-off metrics, per-iteration history (with the chosen lane at four
+// lanes) and final Steiner coordinates — must hash to the sha256 the
+// allocating reference path produced (a fresh tape per forward, the full
+// graph instead of the frozen rows, one forward per candidate, no lane
+// memo), at workers=1 and workers=4.
+func TestWorkspacePipelinePinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: runs the spm pipeline four times")
+		t.Skip("short mode: runs the spm pipeline eight times")
 	}
-	results := map[string]string{}
-	for _, w := range []int{1, 4} {
-		results[fmt.Sprintf("ws/w=%d", w)] = runWorkspaceFlow(t, w, false)
-		results[fmt.Sprintf("alloc/w=%d", w)] = runWorkspaceFlow(t, w, true)
+	want := map[int]string{
+		1: "a60dc7a55ea754abf0c679f6f69d717237d27949d8a73baee6867df29ddd0022",
+		4: "1c29bfe1031be2b56118039b8a74b7cbddf6addcf2cd6693b28483f0efc1acf7",
 	}
-	want := results["alloc/w=1"]
-	if want == "" {
-		t.Fatal("empty serialized output")
-	}
-	for key, got := range results {
-		if got != want {
-			t.Fatalf("output of %s differs from alloc/w=1:\n--- %s ---\n%s\n--- alloc/w=1 ---\n%s",
-				key, key, got, want)
+	for _, lanes := range []int{1, 4} {
+		for _, w := range []int{1, 4} {
+			for _, disableWS := range []bool{false, true} {
+				out := runWorkspaceFlow(t, lanes, w, disableWS)
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[lanes] {
+					t.Errorf("lanes %d, workers %d, allocating %v: output sha256 %s, want %s:\n%s",
+						lanes, w, disableWS, got, want[lanes], out)
+				}
+			}
 		}
 	}
 }
