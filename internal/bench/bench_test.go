@@ -37,20 +37,7 @@ func BenchmarkRefineLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefine(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefineLoopAllocating measures the allocating reference path
-// (Options.DisableWorkspace), the before side of the pooling comparison.
-func BenchmarkRefineLoopAllocating(b *testing.B) {
-	w := newWorkload(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefine(true); err != nil {
+		if _, err := w.RunRefine(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,9 +85,8 @@ func BenchmarkGNNForwardBatched(b *testing.B) {
 
 // BenchmarkGNNForwardSequentialLanes is the before side of the batching
 // comparison: the same BatchLanes candidates evaluated by K sequential
-// forwards, one fresh tape per candidate — exactly the refine loop's
-// sequential reference path (the DisableWorkspace branch the batched
-// replay gate holds byte-identical to the fused path).
+// full forwards, one fresh tape per candidate — the per-candidate cost
+// the fused forward is held below (TestBatchedBaselineMargin).
 func BenchmarkGNNForwardSequentialLanes(b *testing.B) {
 	w := newWorkload(b, 1)
 	cx, cy, err := w.CandidateCoords(BatchLanes)
@@ -132,7 +118,7 @@ func BenchmarkRefineBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefineBatched(false); err != nil {
+		if _, err := w.RunRefineBatched(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,35 +141,11 @@ func BenchmarkSTA(b *testing.B) {
 	}
 }
 
-// TestBenchReplayByteIdentical is the replay gate: the pinned workload's
-// refine outcome — metrics, iteration count and the FNV digest of the
-// final Steiner coordinates — must be identical between the pooled and
-// allocating paths, across worker counts, and equal to the committed
-// baseline. Runs in short mode so verify.sh always exercises it.
-func TestBenchReplayByteIdentical(t *testing.T) {
-	outcomes := map[string]*RefineOutcome{}
-	for _, c := range []struct {
-		key       string
-		workers   int
-		disableWS bool
-	}{
-		{"ws/w=1", 1, false},
-		{"ws/w=4", 4, false},
-		{"alloc/w=1", 1, true},
-	} {
-		out, err := newWorkload(t, c.workers).RunRefine(c.disableWS)
-		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
-		}
-		outcomes[c.key] = out
-	}
-	want := outcomes["alloc/w=1"]
-	for key, got := range outcomes {
-		if *got != *want {
-			t.Errorf("%s outcome %+v != alloc/w=1 %+v", key, *got, *want)
-		}
-	}
-
+// replayBaseline loads the committed baseline the replay gates compare
+// against, skipping t when none is committed and failing it when the
+// baseline pins another workload.
+func replayBaseline(t *testing.T) *Baseline {
+	t.Helper()
 	path, err := BaselinePath()
 	if err != nil {
 		t.Fatal(err)
@@ -201,74 +163,78 @@ func TestBenchReplayByteIdentical(t *testing.T) {
 			base.Workload, base.Scale, base.ModelSeed, base.Iters,
 			WorkloadName, WorkloadScale, ModelSeed, RefineIters)
 	}
-	if *want != base.Metrics {
-		t.Errorf("refine outcome %+v != recorded baseline %+v", *want, base.Metrics)
+	return base
+}
+
+// TestBenchReplayByteIdentical is the replay gate: the pinned workload's
+// refine outcome — metrics, iteration count and the FNV digest of the
+// final Steiner coordinates — must equal the committed baseline at every
+// worker count. Runs in short mode so verify.sh always exercises it.
+func TestBenchReplayByteIdentical(t *testing.T) {
+	base := replayBaseline(t)
+	for _, workers := range []int{1, 4} {
+		out, err := newWorkload(t, workers).RunRefine()
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if *out != base.Metrics {
+			t.Errorf("w=%d refine outcome %+v != recorded baseline %+v", workers, *out, base.Metrics)
+		}
 	}
 }
 
 // TestBatchReplayByteIdentical is the batched replay gate: the
-// multi-candidate refine outcome must be identical between the fused
-// ForwardBatch path and the sequential-forwards reference, across worker
-// counts, and equal to the committed baseline's metrics_batched.
+// multi-candidate refine outcome must equal the committed baseline's
+// metrics_batched at every worker count.
 //
 // The worker count also sets the refiner's lane groups: the BatchLanes
 // candidates split into min(workers, BatchLanes) contiguous blocks,
 // larger blocks first (w=3 runs blocks of 2, 1 and 1; w=4 four one-lane
-// blocks). Every pooled row must record the same iterations and the
-// same number of lane-memo hits as w=1, and at w ≥ 2 the run must accept
+// blocks). Every row must record the same iterations and the same
+// number of lane-memo hits as w=1, and at w ≥ 2 the run must accept
 // a lane outside group 0's block before its last iteration, so that a
 // gradient is served from another group's tape.
 func TestBatchReplayByteIdentical(t *testing.T) {
+	base := replayBaseline(t)
+	if base.MetricsBatched == (RefineOutcome{}) {
+		t.Skip("baseline predates batched metrics; re-record with -benchupdate")
+	}
 	type run struct {
-		out      *RefineOutcome
 		iters    []iterEvent
 		memoHits int64
 	}
-	runs := map[string]run{}
-	for _, c := range []struct {
-		key       string
-		workers   int
-		disableWS bool
-	}{
-		{"ws/w=1", 1, false},
-		{"ws/w=2", 2, false},
-		{"ws/w=3", 3, false},
-		{"ws/w=4", 4, false},
-		{"alloc/w=1", 1, true},
-	} {
-		w := newWorkload(t, c.workers)
+	runs := map[int]run{}
+	for _, workers := range []int{1, 2, 3, 4} {
+		w := newWorkload(t, workers)
 		var trace bytes.Buffer
 		sink := obs.New(&trace)
 		w.Prepared.Config.Obs = sink
-		out, err := w.RunRefineBatched(c.disableWS)
+		out, err := w.RunRefineBatched()
 		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if *out != base.MetricsBatched {
+			t.Errorf("w=%d batched refine outcome %+v != recorded baseline %+v", workers, *out, base.MetricsBatched)
 		}
 		iters, err := iterEvents(&trace)
 		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
+			t.Fatalf("w=%d: %v", workers, err)
 		}
-		runs[c.key] = run{out: out, iters: iters, memoHits: counter(sink, "core.lane_memo_hits")}
-	}
-	want := runs["alloc/w=1"].out
-	for key, got := range runs {
-		if *got.out != *want {
-			t.Errorf("%s batched outcome %+v != alloc/w=1 %+v", key, *got.out, *want)
-		}
+		runs[workers] = run{iters: iters, memoHits: counter(sink, "core.lane_memo_hits")}
 	}
 
-	ref := runs["ws/w=1"]
+	ref := runs[1]
 	if ref.memoHits == 0 {
-		t.Errorf("ws/w=1: no lane-memo hit")
+		t.Errorf("w=1: no lane-memo hit")
 	}
 	for _, workers := range []int{2, 3, 4} {
-		key := fmt.Sprintf("ws/w=%d", workers)
-		got := runs[key]
+		key := fmt.Sprintf("w=%d", workers)
+		got := runs[workers]
 		if !reflect.DeepEqual(got.iters, ref.iters) {
-			t.Errorf("%s iterations %+v != ws/w=1 %+v", key, got.iters, ref.iters)
+			t.Errorf("%s iterations %+v != w=1 %+v", key, got.iters, ref.iters)
 		}
 		if got.memoHits != ref.memoHits {
-			t.Errorf("%s: %d lane-memo hits, ws/w=1 has %d", key, got.memoHits, ref.memoHits)
+			t.Errorf("%s: %d lane-memo hits, w=1 has %d", key, got.memoHits, ref.memoHits)
 		}
 		groups := min(workers, BatchLanes)
 		block0 := (BatchLanes + groups - 1) / groups
@@ -279,24 +245,6 @@ func TestBatchReplayByteIdentical(t *testing.T) {
 		if !served {
 			t.Errorf("%s accepts no lane past group 0's %d before its last iteration: %+v", key, block0, got.iters)
 		}
-	}
-
-	path, err := BaselinePath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if os.IsNotExist(err) {
-		t.Skipf("no committed baseline at %s; record one with -benchupdate", path)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.MetricsBatched == (RefineOutcome{}) {
-		t.Skipf("baseline %s predates batched metrics; re-record with -benchupdate", path)
-	}
-	if *want != base.MetricsBatched {
-		t.Errorf("batched refine outcome %+v != recorded baseline %+v", *want, base.MetricsBatched)
 	}
 }
 
@@ -361,10 +309,8 @@ func measureLanes(fn func(b *testing.B), lanes int) Record {
 }
 
 // TestBenchAllocGate is the allocation-regression gate verify.sh runs
-// with -benchgate. It re-measures the refine loop and fails when the
-// pooled path's allocs/op regress more than 10% over the committed
-// baseline, or when pooling stops cutting allocations by at least half
-// relative to the allocating reference path.
+// with -benchgate. It re-measures the refine loop and fails when its
+// allocs/op regress more than 10% over the committed baseline.
 func TestBenchAllocGate(t *testing.T) {
 	if !*benchGate {
 		t.Skip("allocation gate disabled; enable with -benchgate")
@@ -380,11 +326,9 @@ func TestBenchAllocGate(t *testing.T) {
 	if _, ok := base.Benchmarks["refine_loop"]; !ok {
 		t.Fatalf("baseline %s has no refine_loop record", path)
 	}
-	pooled := measure(BenchmarkRefineLoop)
-	allocating := measure(BenchmarkRefineLoopAllocating)
-	t.Logf("refine_loop pooled: %+v (baseline %+v), allocating: %+v",
-		pooled, base.Benchmarks["refine_loop"], allocating)
-	if err := base.CheckAllocGate(pooled, allocating); err != nil {
+	loop := measure(BenchmarkRefineLoop)
+	t.Logf("refine_loop: %+v (baseline %+v)", loop, base.Benchmarks["refine_loop"])
+	if err := base.CheckAllocGate(loop); err != nil {
 		t.Error(err)
 	}
 
@@ -448,11 +392,11 @@ func TestBenchUpdateBaseline(t *testing.T) {
 		t.Skip("baseline recorder disabled; enable with -benchupdate")
 	}
 	w := newWorkload(t, 1)
-	out, err := w.RunRefine(false)
+	out, err := w.RunRefine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	outBatched, err := w.RunRefineBatched(false)
+	outBatched, err := w.RunRefineBatched()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +414,6 @@ func TestBenchUpdateBaseline(t *testing.T) {
 		Iters:     RefineIters,
 		Benchmarks: map[string]Record{
 			"refine_loop":            measure(BenchmarkRefineLoop),
-			"refine_loop_allocating": measure(BenchmarkRefineLoopAllocating),
 			"refine_batched":         measureLanes(BenchmarkRefineBatched, BatchLanes),
 			"gnn_forward":            measure(BenchmarkGNNForward),
 			"gnn_forward_batched":    fused,

@@ -18,9 +18,6 @@ var (
 	ErrMissingRecord = errors.New("bench: baseline record missing")
 	// ErrAllocRegression: a measured allocs/op exceeds baseline +10%.
 	ErrAllocRegression = errors.New("bench: allocs/op regression")
-	// ErrPoolingMargin: the pooled path no longer halves allocations
-	// relative to the allocating reference.
-	ErrPoolingMargin = errors.New("bench: pooling margin lost")
 	// ErrBatchMargin: the fused batched forward lost its per-candidate
 	// speed margin over the sequential reference.
 	ErrBatchMargin = errors.New("bench: batched margin lost")
@@ -32,22 +29,16 @@ var (
 // allocLimit is the gate's regression budget: baseline +10%.
 func allocLimit(baseline int64) int64 { return baseline + baseline/10 }
 
-// CheckAllocGate holds a freshly measured pooled refine-loop record to
-// the committed baseline: allocs/op within +10% of the recorded
-// refine_loop, and still at least 2x leaner than the allocating
-// reference measurement.
-func (b *Baseline) CheckAllocGate(pooled, allocating Record) error {
+// CheckAllocGate holds a freshly measured refine-loop record to the
+// committed baseline: allocs/op within +10% of the recorded refine_loop.
+func (b *Baseline) CheckAllocGate(loop Record) error {
 	rec, ok := b.Benchmarks["refine_loop"]
 	if !ok {
 		return fmt.Errorf("%w: refine_loop", ErrMissingRecord)
 	}
-	if limit := allocLimit(rec.AllocsOp); pooled.AllocsOp > limit {
-		return fmt.Errorf("%w: pooled refine loop %d allocs/op > %d (baseline %d +10%%)",
-			ErrAllocRegression, pooled.AllocsOp, limit, rec.AllocsOp)
-	}
-	if pooled.AllocsOp*2 > allocating.AllocsOp {
-		return fmt.Errorf("%w: pooled %d vs allocating %d allocs/op",
-			ErrPoolingMargin, pooled.AllocsOp, allocating.AllocsOp)
+	if limit := allocLimit(rec.AllocsOp); loop.AllocsOp > limit {
+		return fmt.Errorf("%w: refine loop %d allocs/op > %d (baseline %d +10%%)",
+			ErrAllocRegression, loop.AllocsOp, limit, rec.AllocsOp)
 	}
 	return nil
 }

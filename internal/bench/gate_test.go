@@ -26,27 +26,22 @@ func syntheticBaseline() *Baseline {
 // typed error, not a panic and not a silent pass.
 func TestAllocGateFailureBranches(t *testing.T) {
 	b := syntheticBaseline()
-	pooled := Record{AllocsOp: 100}
-	allocating := Record{AllocsOp: 300}
-	if err := b.CheckAllocGate(pooled, allocating); err != nil {
+	loop := Record{AllocsOp: 100}
+	if err := b.CheckAllocGate(loop); err != nil {
 		t.Fatalf("clean gate failed: %v", err)
 	}
 
-	// Pooled allocs/op above baseline +10%.
-	if err := b.CheckAllocGate(Record{AllocsOp: 111}, allocating); !errors.Is(err, ErrAllocRegression) {
+	// Allocs/op above baseline +10%.
+	if err := b.CheckAllocGate(Record{AllocsOp: 111}); !errors.Is(err, ErrAllocRegression) {
 		t.Fatalf("regressed allocs/op: got %v, want ErrAllocRegression", err)
 	}
 	// Boundary: exactly +10% passes.
-	if err := b.CheckAllocGate(Record{AllocsOp: 110}, allocating); err != nil {
+	if err := b.CheckAllocGate(Record{AllocsOp: 110}); err != nil {
 		t.Fatalf("allocs/op at the +10%% limit rejected: %v", err)
-	}
-	// Pooling no longer halves allocations.
-	if err := b.CheckAllocGate(pooled, Record{AllocsOp: 150}); !errors.Is(err, ErrPoolingMargin) {
-		t.Fatalf("lost pooling margin: got %v, want ErrPoolingMargin", err)
 	}
 	// Missing baseline record.
 	delete(b.Benchmarks, "refine_loop")
-	if err := b.CheckAllocGate(pooled, allocating); !errors.Is(err, ErrMissingRecord) {
+	if err := b.CheckAllocGate(loop); !errors.Is(err, ErrMissingRecord) {
 		t.Fatalf("missing refine_loop: got %v, want ErrMissingRecord", err)
 	}
 }

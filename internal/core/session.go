@@ -17,8 +17,8 @@ import (
 // that hold no Steiner variable evaluate to the same net caps and wire
 // deltas at every coordinate set: the session freezes them once
 // (gnn.Model.Freeze) and every forward it runs evaluates the Steiner
-// stage on the moving trees only, bit-identical to the full forward the
-// allocating path runs.
+// stage on the moving trees only, bit-identical to the full forward
+// (gnn.TestFrozenForwardMatchesFull).
 //
 // A candidate pass over K lanes runs as G = min(workers, K) contiguous
 // blocks of lanes (workers is flow.Config.Workers resolved by
@@ -92,10 +92,9 @@ func newEvalSession(r *Refiner) (*evalSession, error) {
 	}, nil
 }
 
-// session returns the refiner's lazily-built evaluation session, or nil
-// when Options.DisableWorkspace selects the allocating reference path.
+// session returns the refiner's evaluation session, built on first use.
 func (r *Refiner) session() (*evalSession, error) {
-	if r.Opt.DisableWorkspace || r.sess != nil {
+	if r.sess != nil {
 		return r.sess, nil
 	}
 	s, err := newEvalSession(r)

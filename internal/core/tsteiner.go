@@ -114,20 +114,6 @@ type Options struct {
 	// iteration).
 	HoldGuard bool
 
-	// DisableWorkspace selects the allocating reference evaluation path
-	// instead of the pooled workspace path: a fresh tape per forward, no
-	// lane memo, K sequential forwards instead of one fused candidate
-	// pass, and the full-graph forward instead of the frozen one. The
-	// pooled path freezes, once per refiner, the net caps and wire deltas
-	// of the trees that hold no Steiner point, and runs the Steiner stage
-	// on the other trees only (gnn.Model.Freeze). Both paths are
-	// byte-identical (the differential gates
-	// TestWorkspaceForwardMatchesAllocating and
-	// TestBatchedRefineMatchesSequential hold them together, so they also
-	// hold the frozen forward to the full graph); the flag exists for
-	// those gates and for the bench harness's before/after comparison.
-	DisableWorkspace bool
-
 	// CandidateLanes sets the number K of candidate steps evaluated per
 	// iteration in one batched candidate pass: lane 0 takes the full SO
 	// step and lane k scales the displacement by 2^-k — a backtracking
@@ -200,9 +186,9 @@ type Refiner struct {
 	Prep  *flow.Prepared
 	Opt   Options
 
-	// sess is the lazily-built workspace evaluation session (one per
-	// refiner, hence one per worker in parallel fan-outs; its candidate
-	// pass fans out over its own lane groups).
+	// sess is the lazily-built evaluation session (one per refiner, hence
+	// one per worker in parallel fan-outs; its candidate pass fans out
+	// over its own lane groups).
 	sess *evalSession
 }
 
@@ -247,40 +233,23 @@ func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 }
 
 // forward runs the evaluator at f's positions: the session's frozen
-// forward on lane group 0's pooled tape, or the full forward on a fresh
-// allocating tape when Options.DisableWorkspace selects the reference
-// path.
+// forward on lane group 0's pooled tape.
 func (r *Refiner) forward(f *rsmt.Forest) (tp *tensor.Tape, xs, ys, slack *tensor.Tensor, err error) {
 	s, err := r.session()
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if s != nil {
-		s.invalidate() // the tape reset reclaims the lane memo's storage
-		g := &s.groups[0]
-		tp = g.ws.Tape()
-		if err := r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
-			return nil, nil, nil, nil, err
-		}
-		bp, err := g.fz.ForwardBatch(tp, 1, s.curX, s.curY)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return tp, bp.Xs, bp.Ys, bp.Slack, nil
-	}
-	n := r.Batch.NSteiner
-	tp, cx, cy := tensor.NewTape(), make([]float64, n), make([]float64, n)
-	if err := r.Batch.FillSteinerCoords(f, cx, cy); err != nil {
+	s.invalidate() // the tape reset reclaims the lane memo's storage
+	g := &s.groups[0]
+	tp = g.ws.Tape()
+	if err := r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if xs, ys, err = r.Batch.LeavesFromCoords(tp, cx, cy); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
+	bp, err := g.fz.ForwardBatch(tp, 1, s.curX, s.curY)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return tp, xs, ys, pred.Slack, nil
+	return tp, bp.Xs, bp.Ys, bp.Slack, nil
 }
 
 // gradients computes (∇_Xs P, ∇_Ys P) at the forest's current positions
@@ -292,13 +261,11 @@ func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, p
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if s != nil {
-		// The last candidate pass may hold the forward at f's exact
-		// coordinates in one of its lanes; extracting the lane's gradient
-		// there skips the whole forward.
-		if gx, gy, pval, ok, lerr := s.laneGradients(f, lw, lt); ok || lerr != nil {
-			return gx, gy, pval, lerr
-		}
+	// The last candidate pass may hold the forward at f's exact
+	// coordinates in one of its lanes; extracting the lane's gradient
+	// there skips the whole forward.
+	if gx, gy, pval, ok, lerr := s.laneGradients(f, lw, lt); ok || lerr != nil {
+		return gx, gy, pval, lerr
 	}
 	tp, xs, ys, slack, err := r.forward(f)
 	if err != nil {
@@ -833,44 +800,27 @@ func (r *Refiner) stageCandidates(lanes int, baseX, baseY, dx, dy, x0, y0 []floa
 	return nil
 }
 
-// evalCandidates produces the hard metrics of the staged candidates: the
-// session's candidate pass on the session path (one fused frozen forward
-// per lane group, the groups side by side), K plain full forwards on the
-// allocating reference path — byte-identical per lane by the tensor
-// package's lane contract and the frozen forward's.
+// evalCandidates produces the hard metrics of the staged candidates from
+// the session's candidate pass: one fused frozen forward per lane group,
+// the groups side by side, each lane byte-identical to evaluating it
+// alone by the tensor package's lane contract and the frozen forward's.
 func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) error {
 	r.sink().Add("core.evals", int64(lanes))
 	s, err := r.session()
 	if err != nil {
 		return err
 	}
-	if s != nil {
-		t0 := time.Now()
-		if err := s.forwardBatch(lanes, laneXs, laneYs); err != nil {
-			return err
-		}
-		// Telemetry: lanes evaluated per batched pass and the amortized
-		// per-candidate forward cost (side channel, never fed back).
-		r.sink().Add("core.batch_lanes", int64(lanes))
-		r.sink().Observe("gnn.batch_amortized_ns", float64(time.Since(t0).Nanoseconds())/float64(lanes))
-		for k := 0; k < lanes; k++ {
-			g, j := s.lane(k)
-			wns[k], tns[k] = r.metricsFromSlack(g.bp.LaneSlack(j))
-		}
-		return nil
+	t0 := time.Now()
+	if err := s.forwardBatch(lanes, laneXs, laneYs); err != nil {
+		return err
 	}
-	n := r.Batch.NSteiner
+	// Telemetry: lanes evaluated per batched pass and the amortized
+	// per-candidate forward cost (side channel, never fed back).
+	r.sink().Add("core.batch_lanes", int64(lanes))
+	r.sink().Observe("gnn.batch_amortized_ns", float64(time.Since(t0).Nanoseconds())/float64(lanes))
 	for k := 0; k < lanes; k++ {
-		tp := tensor.NewTape()
-		xs, ys, err := r.Batch.LeavesFromCoords(tp, laneXs[k*n:(k+1)*n], laneYs[k*n:(k+1)*n])
-		if err != nil {
-			return err
-		}
-		pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-		if err != nil {
-			return err
-		}
-		wns[k], tns[k] = r.metricsFromSlack(pred.Slack.Data)
+		g, j := s.lane(k)
+		wns[k], tns[k] = r.metricsFromSlack(g.bp.LaneSlack(j))
 	}
 	return nil
 }

@@ -223,7 +223,7 @@ func TestRefineDoesNotMutatePreparedForest(t *testing.T) {
 // hold no Steiner point: every tree is frozen, so each forward evaluates
 // an empty moving half (zero-row Linear, GatherRows and SegmentSum) and
 // each gradient is empty. Refinement must return the start forest
-// without error, on the fused and the allocating path alike.
+// without error, at one lane and at four.
 func TestRefineWithoutSteinerPoints(t *testing.T) {
 	d, err := check.InverterChain(6)
 	if err != nil {
@@ -242,25 +242,22 @@ func TestRefineWithoutSteinerPoints(t *testing.T) {
 	}
 	m := gnn.NewModel(gnn.DefaultConfig(), 5)
 	for _, lanes := range []int{1, 4} {
-		for _, disableWS := range []bool{false, true} {
-			opt := DefaultOptions()
-			opt.CandidateLanes = lanes
-			opt.DisableWorkspace = disableWS
-			r, err := NewRefiner(m, b, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.Refine()
-			if err != nil {
-				t.Fatalf("lanes %d, allocating %v: %v", lanes, disableWS, err)
-			}
-			if !reflect.DeepEqual(res.Forest, p.Forest) {
-				t.Fatalf("lanes %d, allocating %v: refined forest differs from the start forest", lanes, disableWS)
-			}
-			if res.BestWNS != res.InitWNS || res.BestTNS != res.InitTNS {
-				t.Fatalf("lanes %d, allocating %v: best (%v,%v) moved from init (%v,%v) with nothing to move",
-					lanes, disableWS, res.BestWNS, res.BestTNS, res.InitWNS, res.InitTNS)
-			}
+		opt := DefaultOptions()
+		opt.CandidateLanes = lanes
+		r, err := NewRefiner(m, b, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Refine()
+		if err != nil {
+			t.Fatalf("lanes %d: %v", lanes, err)
+		}
+		if !reflect.DeepEqual(res.Forest, p.Forest) {
+			t.Fatalf("lanes %d: refined forest differs from the start forest", lanes)
+		}
+		if res.BestWNS != res.InitWNS || res.BestTNS != res.InitTNS {
+			t.Fatalf("lanes %d: best (%v,%v) moved from init (%v,%v) with nothing to move",
+				lanes, res.BestWNS, res.BestTNS, res.InitWNS, res.InitTNS)
 		}
 	}
 }

@@ -17,10 +17,8 @@ import (
 // runWorkspaceFlow runs the small end-to-end pipeline with the refiner
 // evaluating `lanes` line-search candidates per iteration, serializing
 // every algorithmic output exactly like runObsFlow; the lane= column of
-// the history appears only when lanes > 1. disableWS selects the
-// allocating reference path: a fresh tape per evaluation and one forward
-// per candidate.
-func runWorkspaceFlow(t *testing.T, lanes, workers int, disableWS bool) string {
+// the history appears only when lanes > 1.
+func runWorkspaceFlow(t *testing.T, lanes, workers int) string {
 	t.Helper()
 	cfg := flow.DefaultConfig()
 	cfg.Workers = workers
@@ -37,7 +35,6 @@ func runWorkspaceFlow(t *testing.T, lanes, workers int, disableWS bool) string {
 	}
 	ropt := core.DefaultOptions()
 	ropt.N = 3
-	ropt.DisableWorkspace = disableWS
 	ropt.CandidateLanes = lanes
 	ref, err := core.NewRefiner(m, smp.Batch, smp.Prepared, ropt)
 	if err != nil {
@@ -78,13 +75,13 @@ func runWorkspaceFlow(t *testing.T, lanes, workers int, disableWS bool) string {
 // the refiner's evaluation session: with one candidate per iteration and
 // with four lanes, the serialized pipeline output — trained loss,
 // sign-off metrics, per-iteration history (with the chosen lane at four
-// lanes) and final Steiner coordinates — must hash to the sha256 the
-// allocating reference path produced (a fresh tape per forward, the full
-// graph instead of the frozen rows, one forward per candidate, no lane
-// memo), at workers=1 and workers=4.
+// lanes) and final Steiner coordinates — must hash, at workers=1 and
+// workers=4, to the sha256 recorded from the allocating reference path
+// before it was deleted: a fresh tape per forward, the full graph instead
+// of the frozen rows, one forward per candidate and no lane memo.
 func TestWorkspacePipelinePinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: runs the spm pipeline eight times")
+		t.Skip("short mode: runs the spm pipeline four times")
 	}
 	want := map[int]string{
 		1: "a60dc7a55ea754abf0c679f6f69d717237d27949d8a73baee6867df29ddd0022",
@@ -92,12 +89,9 @@ func TestWorkspacePipelinePinned(t *testing.T) {
 	}
 	for _, lanes := range []int{1, 4} {
 		for _, w := range []int{1, 4} {
-			for _, disableWS := range []bool{false, true} {
-				out := runWorkspaceFlow(t, lanes, w, disableWS)
-				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[lanes] {
-					t.Errorf("lanes %d, workers %d, allocating %v: output sha256 %s, want %s:\n%s",
-						lanes, w, disableWS, got, want[lanes], out)
-				}
+			out := runWorkspaceFlow(t, lanes, w)
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[lanes] {
+				t.Errorf("lanes %d, workers %d: output sha256 %s, want %s:\n%s", lanes, w, got, want[lanes], out)
 			}
 		}
 	}
