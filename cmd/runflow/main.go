@@ -49,7 +49,7 @@ func main() {
 		refine  = flag.Bool("refine", false, "train an evaluator and refine Steiner points before sign-off")
 		epochs  = flag.Int("epochs", 60, "evaluator training epochs (-refine)")
 		iters   = flag.Int("iters", 25, "max refinement iterations N (-refine)")
-		lanes   = flag.Int("lanes", 0, "line-search candidates per fused batched forward (0 = sequential; -refine)")
+		lanes   = flag.Int("lanes", 0, "line-search candidates per refine iteration, split across -workers (0 or 1 = one, the paper's; -refine)")
 		seed    = flag.Int64("seed", 2023, "random seed (-refine)")
 		shards  = flag.Int("shards", 0, "run sharded incremental refinement with this many proposal shards (0 = off)")
 		rounds  = flag.Int("rounds", 8, "sharded refinement rounds (-shards)")

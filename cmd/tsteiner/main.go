@@ -75,7 +75,7 @@ func main() {
 		baselineOnly = flag.Bool("baseline-only", false, "run only the baseline flow")
 		epochs       = flag.Int("epochs", 150, "evaluator training epochs")
 		iters        = flag.Int("iters", 25, "max refinement iterations N")
-		lanes        = flag.Int("lanes", 0, "line-search candidates per fused batched forward (0 = sequential)")
+		lanes        = flag.Int("lanes", 0, "line-search candidates per refine iteration, split across -workers (0 or 1 = one, the paper's)")
 		rounds       = flag.Int("rounds", 1, "successive refinement rounds (re-anchored trust region)")
 		modelPath    = flag.String("model", "", "load/save the evaluator at this path")
 		seed         = flag.Int64("seed", 2023, "random seed")
