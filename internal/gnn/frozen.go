@@ -35,8 +35,8 @@ import (
 //     and can never become −0.
 //
 // TestFrozenForwardMatchesFull holds values and gradients to the full
-// forward; core's pooled-versus-allocating replay gates hold refinement
-// to it end to end.
+// forward; core's, bench's and exp's replay gates hold refinement end to
+// end to the outputs a full-forward refiner recorded.
 
 // Frozen is a batch's frozen rows under fixed model weights, with the
 // moving sub-batch the frozen forward evaluates. It is valid while the

@@ -68,21 +68,26 @@ go test -race -run 'ShardDeterminism' ./internal/shard
 # `go test ./...` run via TestScaleBaselineSubLinear).
 go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 
-# Workspace determinism gates: pooled vs allocating evaluation must be
-# byte-identical (down to final Steiner coordinates) at any worker
-# count, and must replay the metrics recorded in BENCH_refine.json.
-# The pooled path runs the frozen forward (Steiner stage on the trees
-# that hold a Steiner point only) and the allocating path the full one,
-# so these gates also hold the frozen forward to the full graph;
-# FrozenForwardMatchesFull does so op-level (values and coordinate
-# gradients, mixed trees and no Steiner point at all), and
-# RefineWithoutSteinerPoints refines a design whose moving half is
-# empty. BatchReplay and BatchedRefineMatchesSequential cover the
-# batched path: the fused multi-candidate forward of the refiner's lanes
-# against the sequential reference, bench-, pipeline- and refiner-level.
-# LaneGroupsByteIdentical and BatchReplay's w=2..4 rows cover the lane
-# groups: a candidate pass split into min(workers, lanes) blocks, each
-# on its own goroutine, must equal the single fused pass.
+# Refine evaluation byte-identity gates. The refiner evaluates through
+# one session: frozen rows, pooled workspaces, lane groups and a lane
+# memo. Each part of the allocating reference it replaced is held by a
+# test against code that stays. FrozenForwardMatchesFull holds the
+# frozen forward (Steiner stage on the trees that hold a Steiner point
+# only) to the full graph op-level: values and coordinate gradients,
+# mixed trees and no Steiner point at all. WorkspaceOpsByteIdentical
+# holds every pooled tape op to the allocating tape's.
+# LaneGroupsByteIdentical and BatchReplay's w=2..4 rows split a
+# candidate pass into min(workers, lanes) blocks, each on its own
+# goroutine, and must equal the single fused pass; at workers >= lanes
+# every block is one lane, so they also hold the fused pass to one
+# forward per candidate. End to end, the session must replay the
+# digests the allocating reference recorded, down to final Steiner
+# coordinates: BenchReplay and BatchReplay against BENCH_refine.json,
+# WorkspacePipelinePinned at one and four lanes, and
+# LaneGroupsByteIdentical's workers 1 run.
+# LaneMemoMatchesFreshGradient holds every lane's memo-served gradient
+# to a fresh one, and RefineWithoutSteinerPoints refines a design whose
+# moving half is empty.
 # DenseMatchesNaive holds the register-blocked Linear/MatMul kernel bit
 # for bit to the naive loops, and TrainHashPinned holds the trainer to a
 # recorded model hash (the replay pins above never see a weight
@@ -91,11 +96,10 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # refinement improves sign-off TNS (every workload above rejects all of
 # its iterations). OutputsPinned holds the stdout and artifact bytes of
 # the compiled tsteiner and runflow CLIs.
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|BatchedRefineMatchesSequential|LaneGroupsByteIdentical|RefineAcceptPinned|OutputsPinned' ./...
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|LaneMemoMatchesFreshGradient|LaneGroupsByteIdentical|RefineAcceptPinned|OutputsPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
-# pooled allocs/op regress >10% over the committed BENCH_refine.json or
-# stop being >=2x leaner than the allocating reference path.
+# pooled allocs/op regress >10% over the committed BENCH_refine.json.
 # (package path first: go test hands the unknown -benchgate flag to the
 # test binary, and everything after it too)
 go test ./internal/bench/ -run TestBenchAllocGate -benchgate
