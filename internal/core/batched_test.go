@@ -11,41 +11,56 @@ import (
 	"tsteiner/internal/rsmt"
 )
 
+// TestBatchedRefineMatchesSequential is the differential gate for the
+// multi-candidate refine loop: with CandidateLanes = 4, the session's
+// fused evaluation (workspace, frozen rows, lane groups, lane-granular
+// gradient memo) must reproduce the allocating sequential path (K plain
+// forwards, fresh gradient tapes) byte for byte — every history record,
+// both best metrics and the final coordinates — held by the digest that
+// path recorded, laneRefineDigest.
+func TestBatchedRefineMatchesSequential(t *testing.T) {
+	r, _ := fixture(t)
+	if got := refineDigest(refineLanes(t, r, 1)); got != laneRefineDigest {
+		t.Fatalf("refine digest %s, want %s", got, laneRefineDigest)
+	}
+}
+
 // TestLaneGroupsByteIdentical holds the split candidate pass to the
 // single fused one: the refiner evaluates its CandidateLanes = 4
 // candidates as min(Workers, 4) lane groups, contiguous blocks of lanes
 // each run as one frozen forward on its own goroutine, and every history
 // record, both best metrics and the final coordinates must equal the
 // Workers 1 run's — at 8 workers too, more than there are lanes. The
-// Workers 1 run must in turn match laneRefineDigest. The worker count is set explicitly so the groups
-// split at any GOMAXPROCS, and the test runs in short mode, so the race
-// pass covers the groups.
+// worker count is set explicitly so the groups split at any GOMAXPROCS,
+// and the test runs in short mode, so the race pass covers the groups.
 func TestLaneGroupsByteIdentical(t *testing.T) {
 	r, _ := fixture(t)
-	run := func(workers int) *Result {
-		prep := *r.Prep
-		prep.Config.Workers = workers
-		opt := DefaultOptions()
-		opt.CandidateLanes = 4
-		opt.Mu = 10 // never converge by ratio: exercise every iteration
-		opt.N = 12
-		r2, err := NewRefiner(r.Model, r.Batch, &prep, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r2.Refine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(1)
-	if got := refineDigest(want); got != laneRefineDigest {
-		t.Fatalf("workers 1: refine digest %s, want %s", got, laneRefineDigest)
-	}
+	want := refineLanes(t, r, 1)
 	for _, workers := range []int{2, 3, 4, 8} {
-		requireSameRefine(t, fmt.Sprintf("workers %d", workers), run(workers), want)
+		requireSameRefine(t, fmt.Sprintf("workers %d", workers), refineLanes(t, r, workers), want)
 	}
+}
+
+// refineLanes refines r's fixture with 4 candidate lanes on the given
+// worker count, Mu 10 so that it never converges by ratio and runs all
+// N = 12 iterations.
+func refineLanes(t *testing.T, r *Refiner, workers int) *Result {
+	t.Helper()
+	prep := *r.Prep
+	prep.Config.Workers = workers
+	opt := DefaultOptions()
+	opt.CandidateLanes = 4
+	opt.Mu = 10
+	opt.N = 12
+	r2, err := NewRefiner(r.Model, r.Batch, &prep, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r2.Refine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // laneRefineDigest is the refineDigest of the 4-lane fixture refinement

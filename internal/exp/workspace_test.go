@@ -71,28 +71,50 @@ func runWorkspaceFlow(t *testing.T, lanes, workers int) string {
 	return b.String()
 }
 
-// TestWorkspacePipelinePinned is the pipeline-level determinism gate of
-// the refiner's evaluation session: with one candidate per iteration and
-// with four lanes, the serialized pipeline output — trained loss,
-// sign-off metrics, per-iteration history (with the chosen lane at four
-// lanes) and final Steiner coordinates — must hash, at workers=1 and
-// workers=4, to the sha256 recorded from the allocating reference path
-// before it was deleted: a fresh tape per forward, the full graph instead
-// of the frozen rows, one forward per candidate and no lane memo.
-func TestWorkspacePipelinePinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: runs the spm pipeline four times")
-	}
-	want := map[int]string{
-		1: "a60dc7a55ea754abf0c679f6f69d717237d27949d8a73baee6867df29ddd0022",
-		4: "1c29bfe1031be2b56118039b8a74b7cbddf6addcf2cd6693b28483f0efc1acf7",
-	}
-	for _, lanes := range []int{1, 4} {
-		for _, w := range []int{1, 4} {
-			out := runWorkspaceFlow(t, lanes, w)
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[lanes] {
-				t.Errorf("lanes %d, workers %d: output sha256 %s, want %s:\n%s", lanes, w, got, want[lanes], out)
-			}
+// pipelineDigests is the sha256 of runWorkspaceFlow's output at one and
+// at four lanes, recorded at workers=1 and workers=4 from the allocating
+// reference path before it was deleted: a fresh tape per forward, the
+// full graph instead of the frozen rows, one forward per candidate and
+// no lane memo.
+var pipelineDigests = map[int]string{
+	1: "a60dc7a55ea754abf0c679f6f69d717237d27949d8a73baee6867df29ddd0022",
+	4: "1c29bfe1031be2b56118039b8a74b7cbddf6addcf2cd6693b28483f0efc1acf7",
+}
+
+// requirePipelinePinned fails t unless the serialized pipeline output at
+// `lanes` candidates per iteration hashes to pipelineDigests[lanes] at
+// workers=1 and workers=4.
+func requirePipelinePinned(t *testing.T, lanes int) {
+	t.Helper()
+	for _, w := range []int{1, 4} {
+		out := runWorkspaceFlow(t, lanes, w)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != pipelineDigests[lanes] {
+			t.Errorf("lanes %d, workers %d: output sha256 %s, want %s:\n%s", lanes, w, got, pipelineDigests[lanes], out)
 		}
 	}
+}
+
+// TestWorkspaceForwardMatchesAllocating is the workspace determinism gate:
+// with one candidate per iteration, the refiner's evaluation session
+// (pooled workspace, frozen rows, forward memo) must reproduce the
+// allocating reference path's pipeline output byte for byte — trained
+// loss, sign-off metrics, per-iteration history and final Steiner
+// coordinates — at workers=1 and workers=4, held by its recorded sha256.
+func TestWorkspaceForwardMatchesAllocating(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: runs the spm pipeline twice")
+	}
+	requirePipelinePinned(t, 1)
+}
+
+// TestBatchReplayPipelineByteIdentical is the pipeline-level batched
+// determinism gate: with 4-candidate lane evaluation in the refiner, the
+// serialized output, including the chosen lane of every iteration, must
+// match the sequential reference's recorded sha256 at workers=1 and
+// workers=4.
+func TestBatchReplayPipelineByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: runs the spm pipeline twice")
+	}
+	requirePipelinePinned(t, 4)
 }

@@ -83,8 +83,9 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # forward per candidate. End to end, the session must replay the
 # digests the allocating reference recorded, down to final Steiner
 # coordinates: BenchReplay and BatchReplay against BENCH_refine.json,
-# WorkspacePipelinePinned at one and four lanes, and
-# LaneGroupsByteIdentical's workers 1 run.
+# WorkspaceForwardMatchesAllocating and BatchReplayPipelineByteIdentical
+# at one and four lanes, and BatchedRefineMatchesSequential on the core
+# fixture.
 # LaneMemoMatchesFreshGradient holds every lane's memo-served gradient
 # to a fresh one, and RefineWithoutSteinerPoints refines a design whose
 # moving half is empty.
@@ -96,7 +97,7 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # refinement improves sign-off TNS (every workload above rejects all of
 # its iterations). OutputsPinned holds the stdout and artifact bytes of
 # the compiled tsteiner and runflow CLIs.
-go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|LaneMemoMatchesFreshGradient|LaneGroupsByteIdentical|RefineAcceptPinned|OutputsPinned' ./...
+go test -run 'Workspace|BenchReplay|BatchReplay|DenseMatchesNaive|TrainHashPinned|FrozenForwardMatchesFull|RefineWithoutSteinerPoints|LaneMemoMatchesFreshGradient|LaneGroupsByteIdentical|BatchedRefineMatchesSequential|RefineAcceptPinned|OutputsPinned' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
 # pooled allocs/op regress >10% over the committed BENCH_refine.json.
