@@ -219,10 +219,7 @@ func bufferLevel(b *netlist.Builder, opt Options, driver netlist.PinID, inputs [
 // direct sinks, processing in reverse topological order so downstream
 // buffers are placed before the buffers that feed them.
 func placeBuffers(d *netlist.Design, die geom.BBox) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return // validated design cannot be cyclic; defensive
-	}
+	order := d.Graph().Order()
 	// Reverse order: sinks before drivers.
 	for oi := len(order) - 1; oi >= 0; oi-- {
 		pid := order[oi]

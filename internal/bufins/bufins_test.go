@@ -178,7 +178,4 @@ func TestDeepRecursiveBuffering(t *testing.T) {
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := out.TopoOrder(); err != nil {
-		t.Fatal(err)
-	}
 }

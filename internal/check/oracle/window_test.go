@@ -14,7 +14,7 @@ import (
 
 // TestOracleWindowedSTA is the differential gate for the windowed STA:
 // on every seeded benchmark, random moved-net subsets are re-timed
-// cone-only via sta.Retimer and the annotation must (a) be bit-identical
+// cone-only via sta.Retime and the annotation must (a) be bit-identical
 // to a from-scratch sta.Run on the new parasitics and (b) agree with
 // the order-free STAFixpoint relaxation to the oracle tolerance.
 // Trials chain — each windowed result becomes the next previous state —
@@ -32,18 +32,14 @@ func TestOracleWindowedSTA(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := sta.NewRetimer(p.Design)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(int64(1000 + len(p.Design.Nets))))
 			trials := 6
 			if testing.Short() {
 				trials = 3
 			}
 			for trial := 0; trial < trials; trial++ {
-				// Move a random subset of nets (≤ ~8% so the windowed
-				// path, not the full fallback, is what runs).
+				// Move a random subset of nets (≤ ~8%, the cone-sized
+				// change sets refinement rounds produce).
 				k := 1 + rng.Intn(len(p.Design.Nets)/12+1)
 				changed := make([]netlist.NetID, 0, k)
 				seen := map[netlist.NetID]bool{}
@@ -69,7 +65,7 @@ func TestOracleWindowedSTA(t *testing.T) {
 					changed = append(changed, ni)
 				}
 
-				got, err := rt.Retime(prev, rcs, changed)
+				got, err := sta.Retime(p.Design, prev, rcs, changed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -133,9 +133,7 @@ func NewBatch(d *netlist.Design, f *rsmt.Forest) (*Batch, error) {
 	if err := b.buildSteinerGraph(d, f); err != nil {
 		return nil, err
 	}
-	if err := b.buildNetlistLevels(d); err != nil {
-		return nil, err
-	}
+	b.buildNetlistLevels(d)
 	b.finalizeDerived()
 	return b, nil
 }
@@ -372,33 +370,15 @@ func orientTree(tr *rsmt.Tree) (parent []int32, parentEdge []int32, order []int3
 	return parent, parentEdge, order, nil
 }
 
-// buildNetlistLevels computes topological pin levels and groups net edges
-// and cell arcs per level.
-func (b *Batch) buildNetlistLevels(d *netlist.Design) error {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return err
-	}
-	fanin := d.FaninEdges()
-	level := make([]int32, d.NumPins())
-	maxLevel := int32(0)
-	for _, pid := range order {
-		lv := int32(0)
-		for _, pred := range fanin[pid] {
-			if level[pred]+1 > lv {
-				lv = level[pred] + 1
-			}
-		}
-		level[pid] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	b.Levels = make([]Level, maxLevel+1)
+// buildNetlistLevels groups net edges and cell arcs by the level of
+// the timing-graph pin they write.
+func (b *Batch) buildNetlistLevels(d *netlist.Design) {
+	g := d.Graph()
+	b.Levels = make([]Level, g.Levels())
 
 	// Net sinks by sink pin level.
-	for sIdx := range b.SinkSinkPin {
-		lv := level[b.SinkSinkPin[sIdx]]
+	for sIdx, s := range b.SinkSinkPin {
+		lv := g.Level(netlist.PinID(s))
 		b.Levels[lv].SinkIdx = append(b.Levels[lv].SinkIdx, int32(sIdx))
 	}
 
@@ -418,8 +398,7 @@ func (b *Batch) buildNetlistLevels(d *netlist.Design) error {
 			b.QFeats = append(b.QFeats, d0, slope)
 			continue
 		}
-		lv := level[out]
-		L := &b.Levels[lv]
+		L := &b.Levels[g.Level(out)]
 		outLocal := int32(len(L.OutPins))
 		L.OutPins = append(L.OutPins, int32(out))
 		for i, in := range inst.InputPins() {
@@ -456,7 +435,6 @@ func (b *Batch) buildNetlistLevels(d *netlist.Design) error {
 		b.Endpoints = append(b.Endpoints, int32(e))
 		b.EndpointReq = append(b.EndpointReq, req)
 	}
-	return nil
 }
 
 // arcConsts summarizes a delay LUT by its nominal value and load slope —

@@ -127,7 +127,8 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Finish validates and returns the constructed design.
+// Finish validates the design, builds its timing graph (rejecting a
+// combinational loop) and returns it.
 func (b *Builder) Finish() (*Design, error) {
 	if b.errOnce != nil {
 		return nil, b.errOnce
@@ -135,99 +136,10 @@ func (b *Builder) Finish() (*Design, error) {
 	if err := b.d.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := b.d.TopoOrder(); err != nil {
+	g, err := newGraph(b.d)
+	if err != nil {
 		return nil, err
 	}
+	b.d.graph = g
 	return b.d, nil
-}
-
-// TopoOrder returns all pins in a topological order of the timing graph
-// (net edges driver→sink, cell arcs input→output for combinational cells;
-// registers cut the graph: no D→Q edge). It returns an error if the design
-// contains a combinational loop.
-func (d *Design) TopoOrder() ([]PinID, error) {
-	n := len(d.Pins)
-	indeg := make([]int32, n)
-	// Successor adjacency in compressed form.
-	succCount := make([]int32, n)
-	count := func(from PinID) { succCount[from]++ }
-	d.forEachEdge(func(from, to PinID) {
-		count(from)
-		indeg[to]++
-	})
-	offsets := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + succCount[i]
-	}
-	succ := make([]PinID, offsets[n])
-	fill := make([]int32, n)
-	d.forEachEdge(func(from, to PinID) {
-		succ[offsets[from]+fill[from]] = to
-		fill[from]++
-	})
-
-	order := make([]PinID, 0, n)
-	queue := make([]PinID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, PinID(i))
-		}
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		order = append(order, p)
-		for _, s := range succ[offsets[p]:offsets[p+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("netlist: combinational loop detected (%d of %d pins ordered)", len(order), n)
-	}
-	return order, nil
-}
-
-// forEachEdge visits every timing-graph edge once.
-func (d *Design) forEachEdge(visit func(from, to PinID)) {
-	for ni := range d.Nets {
-		net := &d.Nets[ni]
-		for _, s := range net.Sinks {
-			visit(net.Driver, s)
-		}
-	}
-	for ci := range d.Cells {
-		inst := &d.Cells[ci]
-		out := inst.OutputPin()
-		if inst.Master.Sequential {
-			// Only the CK→Q arc exists, and with an ideal clock the CK pin
-			// has no predecessor; model the launch as a source at Q by
-			// emitting no edge (Q starts a new path).
-			continue
-		}
-		for _, in := range inst.InputPins() {
-			visit(in, out)
-		}
-	}
-}
-
-// FanoutEdges returns, for each pin, the list of successor pins in the
-// timing graph. Used by graph-construction code in the learning stack.
-func (d *Design) FanoutEdges() [][]PinID {
-	out := make([][]PinID, len(d.Pins))
-	d.forEachEdge(func(from, to PinID) {
-		out[from] = append(out[from], to)
-	})
-	return out
-}
-
-// FaninEdges returns, for each pin, the list of predecessor pins.
-func (d *Design) FaninEdges() [][]PinID {
-	in := make([][]PinID, len(d.Pins))
-	d.forEachEdge(func(from, to PinID) {
-		in[to] = append(in[to], from)
-	})
-	return in
 }

@@ -92,7 +92,13 @@ type Design struct {
 	Die geom.BBox
 	// ClockPeriod is the timing constraint (ns) for all paths.
 	ClockPeriod float64
+
+	graph *Graph
 }
+
+// Graph returns the timing graph Builder.Finish built (nil while the
+// design is under construction).
+func (d *Design) Graph() *Graph { return d.graph }
 
 // Pin returns the pin record for id.
 func (d *Design) Pin(id PinID) *Pin { return &d.Pins[id] }

@@ -46,10 +46,8 @@ func TestBuilderChain(t *testing.T) {
 
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	d := buildChain(t)
-	order, err := d.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.Graph()
+	order := g.Order()
 	pos := make(map[PinID]int, len(order))
 	for i, p := range order {
 		pos[p] = i
@@ -59,9 +57,21 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 			t.Errorf("edge %q->%q violates topo order",
 				d.Pin(from).Name, d.Pin(to).Name)
 		}
+		if g.Level(from) >= g.Level(to) {
+			t.Errorf("edge %q->%q does not climb a level (%d -> %d)",
+				d.Pin(from).Name, d.Pin(to).Name, g.Level(from), g.Level(to))
+		}
 	})
 	if len(order) != d.NumPins() {
 		t.Fatalf("order covers %d of %d pins", len(order), d.NumPins())
+	}
+	deepest := 0
+	for _, p := range order {
+		deepest = max(deepest, g.Level(p))
+	}
+	// chain: in -> u1/A -> u1/Z -> u2/A -> u2/Z -> out spans levels 0..5.
+	if deepest != 5 || g.Levels() != deepest+1 {
+		t.Fatalf("deepest level %d, Levels %d; want 5 and 6", deepest, g.Levels())
 	}
 }
 
@@ -193,14 +203,11 @@ func TestUnconnectedClockAllowed(t *testing.T) {
 
 func TestFanoutFaninEdges(t *testing.T) {
 	d := buildChain(t)
-	fan := d.FanoutEdges()
-	fin := d.FaninEdges()
+	g := d.Graph()
 	var fwd, bwd int
-	for _, ss := range fan {
-		fwd += len(ss)
-	}
-	for _, ss := range fin {
-		bwd += len(ss)
+	for p := range d.Pins {
+		fwd += len(g.Fanout(PinID(p)))
+		bwd += len(g.Fanin(PinID(p)))
 	}
 	if fwd != bwd {
 		t.Fatalf("edge count mismatch: fanout %d fanin %d", fwd, bwd)
@@ -210,10 +217,10 @@ func TestFanoutFaninEdges(t *testing.T) {
 		t.Fatalf("edges=%d want 5", fwd)
 	}
 	// Every fanout edge appears as a fanin edge.
-	for from, ss := range fan {
-		for _, to := range ss {
+	for from := range d.Pins {
+		for _, to := range g.Fanout(PinID(from)) {
 			found := false
-			for _, f := range fin[to] {
+			for _, f := range g.Fanin(to) {
 				if f == PinID(from) {
 					found = true
 				}

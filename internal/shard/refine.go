@@ -80,15 +80,6 @@ func Refine(p *flow.Prepared, opt Options) (*Result, error) {
 	// T is the primary corner's view — candidate selection and proposals
 	// read its slacks; the verdict reads the whole matrix.
 	T := Ts[primary]
-	var rts []*sta.Retimer
-	if !opt.Reference {
-		rts = make([]*sta.Retimer, len(corners))
-		for i, c := range corners {
-			if rts[i], err = sta.NewCornerRetimer(d, c); err != nil {
-				return nil, fmt.Errorf("shard: retimer: %w", err)
-			}
-		}
-	}
 
 	res := &Result{
 		InitWNS: T.WNS, InitTNS: T.TNS, InitVios: T.Vios,
@@ -218,7 +209,7 @@ func Refine(p *flow.Prepared, opt Options) (*Result, error) {
 			}
 			T2s = make([]*sta.Result, len(corners))
 			for ci := range corners {
-				T2s[ci], err = rts[ci].Retime(Ts[ci], rcs, refresh)
+				T2s[ci], err = sta.Retime(d, Ts[ci], rcs, refresh)
 				if err != nil {
 					return nil, fmt.Errorf("shard: round %d retime: %w", round, err)
 				}

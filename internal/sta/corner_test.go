@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tsteiner/internal/netlist"
+	"tsteiner/internal/rc"
 )
 
 // TestCornerTypicalBitIdentical pins backward compatibility: RunCorner
@@ -54,16 +55,12 @@ func TestCornerRunCornersOrdered(t *testing.T) {
 }
 
 // TestCornerRetimerMatchesFullRun extends the windowed-STA contract to
-// derated corners: chained single-net moves re-timed by a per-corner
-// Retimer must stay bit-identical to a from-scratch RunCorner.
+// derated corners: chained single-net moves re-timed from a derated
+// result must stay bit-identical to a from-scratch RunCorner.
 func TestCornerRetimerMatchesFullRun(t *testing.T) {
 	for _, c := range []Corner{FastCorner(), SlowCorner()} {
 		t.Run(c.Name, func(t *testing.T) {
 			fx := newWindowFixture(t, "spm", 1.0)
-			rt, err := NewCornerRetimer(fx.d, c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			prev, err := RunCorner(fx.d, fx.rcs, c)
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +75,7 @@ func TestCornerRetimerMatchesFullRun(t *testing.T) {
 				if !fx.jitterNet(t, ni, rng) {
 					continue
 				}
-				got, err := rt.Retime(prev, fx.rcs, []netlist.NetID{ni})
+				got, err := Retime(fx.d, prev, fx.rcs, []netlist.NetID{ni})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,17 +90,26 @@ func TestCornerRetimerMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestCornerRetimerRejectsMismatch: feeding a typical-corner result to
-// a derated Retimer must be a typed error, not a silently wrong
-// annotation.
+// TestCornerRetimerRejectsMismatch: Retime takes its corner from the
+// previous result, so what it can be handed that does not match the
+// design is the parasitics and the change set. An RC slice of the wrong
+// length and a net ID outside the design must each be an error, not a
+// panic.
 func TestCornerRetimerRejectsMismatch(t *testing.T) {
 	fx := newWindowFixture(t, "spm", 0.5)
-	rt, err := NewCornerRetimer(fx.d, SlowCorner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Retime(fx.full, fx.rcs, []netlist.NetID{0}); err == nil {
-		t.Fatal("corner-mismatched Retime succeeded")
+	n := netlist.NetID(len(fx.d.Nets))
+	for _, tc := range []struct {
+		name    string
+		rcs     []rc.NetRC
+		changed []netlist.NetID
+	}{
+		{"short rcs", fx.rcs[:len(fx.rcs)-1], []netlist.NetID{0}},
+		{"negative net", fx.rcs, []netlist.NetID{0, -1}},
+		{"net past the end", fx.rcs, []netlist.NetID{n}},
+	} {
+		if _, err := Retime(fx.d, fx.full, tc.rcs, tc.changed); err == nil {
+			t.Errorf("%s: Retime succeeded", tc.name)
+		}
 	}
 }
 

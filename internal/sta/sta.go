@@ -87,10 +87,7 @@ func run(d *netlist.Design, rcs []rc.NetRC, c Corner) (*Result, error) {
 	if len(rcs) != len(d.Nets) {
 		return nil, fmt.Errorf("sta: %d RC views for %d nets", len(rcs), len(d.Nets))
 	}
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+	order := d.Graph().Order()
 	n := d.NumPins()
 	res := &Result{
 		Corner:     c,

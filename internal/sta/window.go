@@ -2,164 +2,109 @@
 // parasitics of a small set of nets, only the fanout cones of those
 // nets can change arrival/slew, and only the fanin cones of the
 // affected pins can change required times. Retime re-traverses exactly
-// those cones, pruning propagation the moment a pin's recomputed
-// annotation is bit-identical to its previous value.
+// those cones over the design's netlist.Graph, draining dirty pins
+// level by level (upward for arrivals, downward for required times) and
+// pruning propagation the moment a pin's recomputed annotation is
+// bit-identical to its previous value.
 //
 // Contract (asserted by TestOracleWindowedSTA / TestProp*): given a
 // previous Result for parasitics rcs0 and a new rcs that differs from
 // rcs0 only on the nets listed in changed, Retime returns a Result
-// byte-identical to sta.Run(d, rcs). This holds because Retime shares
-// the per-pin forward/backward kernels with Run (forwardPin,
-// backwardMin, regBoundary) and recomputes the cheap O(n) global scans
-// (endpoint metrics, slew and hold checks, pin slack) with the same
-// helpers Run uses — no floating-point operation is reassociated.
-//
-// Fallback to full: when the changed set covers a large fraction of
-// the design (≥ fullFrac of nets), the bookkeeping of windowed
-// propagation costs more than it saves and Retime simply calls Run —
-// the result is bitwise the same either way, so the switch is purely a
-// performance decision.
+// byte-identical to RunCorner(d, rcs, prev.Corner). This holds because
+// every dirty pin is recomputed by the per-pin kernels Run uses
+// (forwardPin, backwardMin, regBoundary) from neighbours that are
+// already final: a pin's predecessors sit on lower levels and its
+// successors on higher ones, and pins of one level share no edge, so
+// their order within the level cannot change a bit. The cheap O(n)
+// global scans (endpoint metrics, slew and hold checks, pin slack) are
+// recomputed with the same helpers Run uses — no floating-point
+// operation is reassociated. There is no fallback to a full run: a
+// change set listing every net sweeps every level once.
 package sta
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tsteiner/internal/netlist"
 	"tsteiner/internal/rc"
 )
 
-// fullFrac is the changed-net fraction above which Retime falls back
-// to a full Run.
-const fullFrac = 0.25
-
-// Retimer caches the design's timing-graph shape (topological order,
-// adjacency, endpoint index) so repeated windowed re-timings pay only
-// for the cones they touch.
-type Retimer struct {
-	d       *netlist.Design
-	corner  Corner
-	order   []netlist.PinID
-	topoIdx []int32
-	fanout  [][]netlist.PinID
-	fanin   [][]netlist.PinID
-	// endpointIdx maps a pin to its position in Endpoints(), or -1.
-	endpointIdx []int32
-	// scratch, reused across Retime calls (single-goroutine use only).
-	inQueue []bool
-	heap    []netlist.PinID
-}
-
-// NewRetimer builds the cached traversal structures for d at the
-// typical (identity) corner.
-func NewRetimer(d *netlist.Design) (*Retimer, error) {
-	return NewCornerRetimer(d, TypicalCorner())
-}
-
-// NewCornerRetimer builds a Retimer whose windowed re-timings apply
-// the corner's derating; Retime is then bitwise equal to a full
-// RunCorner at the same corner (the kernels are shared).
-func NewCornerRetimer(d *netlist.Design, c Corner) (*Retimer, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := d.NumPins()
-	rt := &Retimer{
-		d:           d,
-		corner:      c,
-		order:       order,
-		topoIdx:     make([]int32, n),
-		fanout:      d.FanoutEdges(),
-		fanin:       d.FaninEdges(),
-		endpointIdx: make([]int32, n),
-		inQueue:     make([]bool, n),
-	}
-	for i, pid := range order {
-		rt.topoIdx[pid] = int32(i)
-	}
-	for i := range rt.endpointIdx {
-		rt.endpointIdx[i] = -1
-	}
-	for i, e := range d.Endpoints() {
-		rt.endpointIdx[e] = int32(i)
-	}
-	return rt, nil
-}
-
-// Retime produces the timing annotation for parasitics rcs, given a
-// previous annotation prev that is valid for parasitics identical to
-// rcs on every net NOT listed in changed. prev is not modified. The
-// returned Result is byte-identical to Run(d, rcs).
-func (rt *Retimer) Retime(prev *Result, rcs []rc.NetRC, changed []netlist.NetID) (*Result, error) {
-	d := rt.d
+// Retime produces the timing annotation for parasitics rcs at
+// prev.Corner, given a previous annotation prev that is valid for
+// parasitics identical to rcs on every net NOT listed in changed. prev
+// is not modified. The returned Result is byte-identical to
+// RunCorner(d, rcs, prev.Corner).
+func Retime(d *netlist.Design, prev *Result, rcs []rc.NetRC, changed []netlist.NetID) (*Result, error) {
 	if len(rcs) != len(d.Nets) {
 		return nil, fmt.Errorf("sta: %d RC views for %d nets", len(rcs), len(d.Nets))
-	}
-	if prev.Corner != rt.corner {
-		return nil, fmt.Errorf("sta: retimer corner %q given a %q-corner result", rt.corner.Name, prev.Corner.Name)
-	}
-	if len(changed) == 0 {
-		return prev, nil
 	}
 	for _, ni := range changed {
 		if ni < 0 || int(ni) >= len(d.Nets) {
 			return nil, fmt.Errorf("sta: changed net %d out of range", ni)
 		}
 	}
-	if float64(len(changed)) >= fullFrac*float64(len(d.Nets)) {
-		return run(d, rcs, rt.corner)
+	if len(changed) == 0 {
+		return prev, nil
 	}
-
+	g := d.Graph()
 	res := prev.clone()
 
-	// Forward pass: seed the drivers and sinks of every changed net,
-	// then sweep dirty pins in topological order. A sink of a changed
-	// net must be recomputed unconditionally (its SinkDelay/SinkSlewAdd
-	// changed even if the driver's annotation did not); a driver must
-	// be recomputed because its load (the net's TotalCap) changed.
-	rt.heap = rt.heap[:0]
+	// dirty buckets the queued pins by level. A sweep drains the buckets
+	// in level order and queues only pins on levels still ahead of it.
+	queued := make([]bool, d.NumPins())
+	dirty := make([][]netlist.PinID, g.Levels())
+	push := func(pid netlist.PinID) {
+		if !queued[pid] {
+			queued[pid] = true
+			dirty[g.Level(pid)] = append(dirty[g.Level(pid)], pid)
+		}
+	}
+
+	// Forward pass, upward: seed the drivers and sinks of every changed
+	// net. A sink of a changed net must be recomputed unconditionally
+	// (its SinkDelay/SinkSlewAdd changed even if the driver's annotation
+	// did not); a driver must be recomputed because its load (the net's
+	// TotalCap) changed.
 	for _, ni := range changed {
 		net := d.Net(ni)
-		if net.Driver != netlist.NoID {
-			drv := d.Pin(net.Driver)
-			if !(drv.IsPort && drv.Dir == netlist.Output) {
-				rt.push(net.Driver, true)
-			}
+		if drv := d.Pin(net.Driver); !(drv.IsPort && drv.Dir == netlist.Output) {
+			push(net.Driver)
 		}
 		for _, s := range net.Sinks {
-			rt.push(s, true)
+			push(s)
 		}
 	}
 	// fwdChanged records pins whose forward annotation actually moved;
 	// they seed the backward pass.
 	var fwdChanged []netlist.PinID
-	for len(rt.heap) > 0 {
-		pid := rt.pop(true)
-		oldA := res.Arrival[pid]
-		oldAM := res.ArrivalMin[pid]
-		oldS := res.Slew[pid]
-		oldP := res.argmaxPred[pid]
-		p := d.Pin(pid)
-		if p.Cell != netlist.NoID && p.Dir == netlist.Output && d.Cell(p.Cell).Master.Sequential {
-			// Register launch point: boundary recompute (load-only).
-			if err := regBoundary(d, rcs, res, d.Cell(p.Cell)); err != nil {
+	for lv := range dirty {
+		for _, pid := range dirty[lv] {
+			queued[pid] = false
+			oldA := res.Arrival[pid]
+			oldAM := res.ArrivalMin[pid]
+			oldS := res.Slew[pid]
+			oldP := res.argmaxPred[pid]
+			p := d.Pin(pid)
+			if p.Cell != netlist.NoID && p.Dir == netlist.Output && d.Cell(p.Cell).Master.Sequential {
+				// Register launch point: boundary recompute (load-only).
+				if err := regBoundary(d, rcs, res, d.Cell(p.Cell)); err != nil {
+					return nil, err
+				}
+			} else if err := forwardPin(d, rcs, res, pid); err != nil {
 				return nil, err
 			}
-		} else if err := forwardPin(d, rcs, res, pid); err != nil {
-			return nil, err
+			if sameBits(oldA, res.Arrival[pid]) && sameBits(oldAM, res.ArrivalMin[pid]) &&
+				sameBits(oldS, res.Slew[pid]) && oldP == res.argmaxPred[pid] {
+				continue // cone pruned: nothing downstream can change
+			}
+			fwdChanged = append(fwdChanged, pid)
+			for _, s := range g.Fanout(pid) {
+				push(s)
+			}
 		}
-		if sameBits(oldA, res.Arrival[pid]) && sameBits(oldAM, res.ArrivalMin[pid]) &&
-			sameBits(oldS, res.Slew[pid]) && oldP == res.argmaxPred[pid] {
-			continue // cone pruned: nothing downstream can change
-		}
-		fwdChanged = append(fwdChanged, pid)
-		for _, s := range rt.fanout[pid] {
-			rt.push(s, true)
-		}
+		dirty[lv] = dirty[lv][:0]
 	}
 
 	// Global scans are O(n) with no per-net state: recompute them with
@@ -168,44 +113,39 @@ func (rt *Retimer) Retime(prev *Result, rcs []rc.NetRC, changed []netlist.NetID)
 	slewChecks(d, res)
 	holdChecks(d, res)
 
-	// Backward pass. A pin's required time must be recomputed when any
-	// input of its formula changed: its own slew (cell-arc delay), the
-	// SinkDelay of a net it drives, the load of the cell output it
-	// feeds, its endpoint constraint (arrival moved), or — via
+	// Backward pass, downward. A pin's required time must be recomputed
+	// when any input of its formula changed: its own slew (cell-arc
+	// delay), the SinkDelay of a net it drives, the load of the cell
+	// output it feeds, its endpoint constraint (arrival moved), or — via
 	// propagation — a successor's required time.
-	rt.heap = rt.heap[:0]
 	for _, pid := range fwdChanged {
-		rt.push(pid, false)
+		push(pid)
 	}
 	for _, ni := range changed {
 		net := d.Net(ni)
-		if net.Driver == netlist.NoID {
-			continue
-		}
-		rt.push(net.Driver, false)
-		drv := d.Pin(net.Driver)
-		if drv.Cell != netlist.NoID {
-			inst := d.Cell(drv.Cell)
-			if !inst.Master.Sequential {
+		push(net.Driver)
+		if drv := d.Pin(net.Driver); drv.Cell != netlist.NoID {
+			if inst := d.Cell(drv.Cell); !inst.Master.Sequential {
 				for _, in := range inst.InputPins() {
-					rt.push(in, false)
+					push(in)
 				}
 			}
 		}
 	}
-	for len(rt.heap) > 0 {
-		pid := rt.pop(false)
-		old := res.Required[pid]
-		res.Required[pid] = math.Inf(1)
-		if ei := rt.endpointIdx[pid]; ei >= 0 {
-			res.Required[pid] = res.EndpointSlack[ei] + res.Arrival[pid] // = constraint
-		}
-		backwardMin(d, rcs, res, pid)
-		if sameBits(old, res.Required[pid]) {
-			continue
-		}
-		for _, pred := range rt.fanin[pid] {
-			rt.push(pred, false)
+	for lv := len(dirty) - 1; lv >= 0; lv-- {
+		for _, pid := range dirty[lv] {
+			old := res.Required[pid]
+			res.Required[pid] = math.Inf(1)
+			// res.Endpoints is in pin-ID order (Design.Endpoints).
+			if ei, ok := slices.BinarySearch(res.Endpoints, pid); ok {
+				res.Required[pid] = res.EndpointSlack[ei] + res.Arrival[pid] // = constraint
+			}
+			backwardMin(d, rcs, res, pid)
+			if !sameBits(old, res.Required[pid]) {
+				for _, pred := range g.Fanin(pid) {
+					push(pred)
+				}
+			}
 		}
 	}
 
@@ -244,57 +184,4 @@ func (r *Result) clone() *Result {
 // +0 != -0 — the pruning test must be exact, not numeric).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-// push enqueues pid into the worklist heap unless already queued.
-// forward selects min-topo-index ordering; the backward pass uses
-// max-topo-index (reverse topological) ordering.
-func (rt *Retimer) push(pid netlist.PinID, forward bool) {
-	if rt.inQueue[pid] {
-		return
-	}
-	rt.inQueue[pid] = true
-	rt.heap = append(rt.heap, pid)
-	i := len(rt.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !rt.before(rt.heap[i], rt.heap[parent], forward) {
-			break
-		}
-		rt.heap[i], rt.heap[parent] = rt.heap[parent], rt.heap[i]
-		i = parent
-	}
-}
-
-// pop removes the next pin in traversal order from the worklist heap.
-func (rt *Retimer) pop(forward bool) netlist.PinID {
-	top := rt.heap[0]
-	rt.inQueue[top] = false
-	last := len(rt.heap) - 1
-	rt.heap[0] = rt.heap[last]
-	rt.heap = rt.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(rt.heap) && rt.before(rt.heap[l], rt.heap[best], forward) {
-			best = l
-		}
-		if r < len(rt.heap) && rt.before(rt.heap[r], rt.heap[best], forward) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		rt.heap[i], rt.heap[best] = rt.heap[best], rt.heap[i]
-		i = best
-	}
-	return top
-}
-
-func (rt *Retimer) before(a, b netlist.PinID, forward bool) bool {
-	if forward {
-		return rt.topoIdx[a] < rt.topoIdx[b]
-	}
-	return rt.topoIdx[a] > rt.topoIdx[b]
 }

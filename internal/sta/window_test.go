@@ -136,10 +136,6 @@ func TestPropWindowedSingleNetMove(t *testing.T) {
 	for _, name := range []string{"spm", "cic_decimator"} {
 		t.Run(name, func(t *testing.T) {
 			fx := newWindowFixture(t, name, 1.0)
-			rt, err := NewRetimer(fx.d)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(911))
 			prev := fx.full
 			trials := 40
@@ -151,7 +147,7 @@ func TestPropWindowedSingleNetMove(t *testing.T) {
 				if !fx.jitterNet(t, ni, rng) {
 					continue
 				}
-				got, err := rt.Retime(prev, fx.rcs, []netlist.NetID{ni})
+				got, err := Retime(fx.d, prev, fx.rcs, []netlist.NetID{ni})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,10 +167,6 @@ func TestPropWindowedSingleNetMove(t *testing.T) {
 // contract) — still bit-identical to the full run.
 func TestWindowedSubsetMoves(t *testing.T) {
 	fx := newWindowFixture(t, "spm", 1.0)
-	rt, err := NewRetimer(fx.d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(77))
 	prev := fx.full
 	for trial := 0; trial < 12; trial++ {
@@ -190,7 +182,7 @@ func TestWindowedSubsetMoves(t *testing.T) {
 			fx.jitterNet(t, ni, rng) // pin-only nets stay listed but unchanged
 			changed = append(changed, ni)
 		}
-		got, err := rt.Retime(prev, fx.rcs, changed)
+		got, err := Retime(fx.d, prev, fx.rcs, changed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,37 +195,42 @@ func TestWindowedSubsetMoves(t *testing.T) {
 	}
 }
 
-// TestWindowedFullFallback exercises the ≥ fullFrac escape hatch: a
-// change set covering most nets must still produce the exact full-run
-// result (it falls back to Run internally).
+// TestWindowedFullFallback lists every net as changed. Retime has no
+// fallback to a full run, so its level sweep re-times the whole design
+// and must still produce the exact full-run result, at the typical,
+// fast and slow corners.
 func TestWindowedFullFallback(t *testing.T) {
-	fx := newWindowFixture(t, "spm", 0.5)
-	rt, err := NewRetimer(fx.d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	changed := make([]netlist.NetID, 0, len(fx.d.Nets))
-	for ni := range fx.d.Nets {
-		fx.jitterNet(t, netlist.NetID(ni), rng)
-		changed = append(changed, netlist.NetID(ni))
-	}
-	got, err := rt.Retime(fx.full, fx.rcs, changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(fx.d, fx.rcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, got, want)
+	for _, c := range []Corner{TypicalCorner(), FastCorner(), SlowCorner()} {
+		t.Run(c.Name, func(t *testing.T) {
+			fx := newWindowFixture(t, "spm", 0.5)
+			prev, err := RunCorner(fx.d, fx.rcs, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			changed := make([]netlist.NetID, 0, len(fx.d.Nets))
+			for ni := range fx.d.Nets {
+				fx.jitterNet(t, netlist.NetID(ni), rng)
+				changed = append(changed, netlist.NetID(ni))
+			}
+			got, err := Retime(fx.d, prev, fx.rcs, changed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunCorner(fx.d, fx.rcs, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, got, want)
 
-	// Empty change set: the previous annotation is already the answer.
-	same, err := rt.Retime(want, fx.rcs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != want {
-		t.Fatal("empty change set must return the previous result")
+			// Empty change set: the previous annotation is already the answer.
+			same, err := Retime(fx.d, want, fx.rcs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same != want {
+				t.Fatal("empty change set must return the previous result")
+			}
+		})
 	}
 }

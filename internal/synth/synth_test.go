@@ -71,9 +71,6 @@ func TestGenerateSmall(t *testing.T) {
 	if ratioOff(st.Endpoints, spec.Endpoints) > 0.25 {
 		t.Errorf("endpoint count %d far from target %d", st.Endpoints, spec.Endpoints)
 	}
-	if _, err := d.TopoOrder(); err != nil {
-		t.Fatalf("TopoOrder: %v", err)
-	}
 }
 
 func ratioOff(got, want int) float64 {
@@ -189,18 +186,14 @@ func TestLogicDepthCapped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, err := d.TopoOrder()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fanin := d.FaninEdges()
+		g := d.Graph()
 		// Depth in cell stages: count cell-arc traversals.
 		depth := make(map[netlist.PinID]int)
 		maxDepth := 0
-		for _, pid := range order {
+		for _, pid := range g.Order() {
 			p := d.Pin(pid)
 			dv := 0
-			for _, pred := range fanin[pid] {
+			for _, pred := range g.Fanin(pid) {
 				cand := depth[pred]
 				// Crossing a cell arc (input→output of same cell) adds one
 				// stage.
@@ -246,9 +239,6 @@ func TestGenerateMesh(t *testing.T) {
 	// Endpoints: one D pin per PE plus the south POs.
 	if want := spec.Rows*spec.Cols + spec.Cols; len(d.Endpoints()) != want {
 		t.Fatalf("endpoints=%d want %d", len(d.Endpoints()), want)
-	}
-	if _, err := d.TopoOrder(); err != nil {
-		t.Fatal(err)
 	}
 	if d.ClockPeriod != spec.ClockNS {
 		t.Fatalf("clock %g want %g", d.ClockPeriod, spec.ClockNS)
