@@ -39,9 +39,6 @@ type BatchPrediction struct {
 // LaneSlack returns candidate k's slack values (a no-copy view).
 func (bp *BatchPrediction) LaneSlack(k int) []float64 { return bp.Slack.LaneData(k) }
 
-// LaneArrival returns candidate k's per-pin arrivals (a no-copy view).
-func (bp *BatchPrediction) LaneArrival(k int) []float64 { return bp.Arrival.LaneData(k) }
-
 // Lane returns candidate k's prediction as detached unbatched tensors
 // (no tape, no grad flow) — for callers that want the sequential
 // Prediction shape.

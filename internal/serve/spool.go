@@ -49,9 +49,6 @@ func OpenSpool(dir string) (*Spool, error) {
 	return &Spool{root: dir}, nil
 }
 
-// Root returns the spool root directory.
-func (s *Spool) Root() string { return s.root }
-
 // ModelDir returns the trained-evaluator cache directory.
 func (s *Spool) ModelDir() string { return filepath.Join(s.root, "models") }
 
@@ -73,12 +70,6 @@ func (s *Spool) TrainCkptPath(id string) string { return filepath.Join(s.JobDir(
 
 // RefineCkptPath is the job's refinement-loop checkpoint.
 func (s *Spool) RefineCkptPath(id string) string { return filepath.Join(s.JobDir(id), "refine.ckpt") }
-
-// Known reports whether a job directory exists (admitted at some point).
-func (s *Spool) Known(id string) bool {
-	_, err := os.Stat(s.JobDir(id))
-	return err == nil
-}
 
 // WriteRequest admits a job: its request is sealed in a CRC envelope so a
 // crash mid-admission can never leave a plausible-but-torn request that a

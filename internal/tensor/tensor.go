@@ -56,12 +56,6 @@ func (t *Tensor) laneStride() int { return t.Rows * t.Cols }
 // RequiresGrad reports whether gradients flow into this tensor.
 func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 
-// At returns element (r, c) of lane 0.
-func (t *Tensor) At(r, c int) float64 { return t.Data[r*t.Cols+c] }
-
-// LaneAt returns element (r, c) of lane l.
-func (t *Tensor) LaneAt(l, r, c int) float64 { return t.Data[l*t.laneStride()+r*t.Cols+c] }
-
 // LaneData returns the [Rows×Cols] slice backing lane l (no copy).
 func (t *Tensor) LaneData(l int) []float64 {
 	st := t.laneStride()
@@ -79,14 +73,6 @@ func (t *Tensor) LaneGrad(l int) []float64 {
 
 // Set writes element (r, c).
 func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
-
-// GradAt returns the gradient of element (r, c), zero before Backward.
-func (t *Tensor) GradAt(r, c int) float64 {
-	if t.Grad == nil {
-		return 0
-	}
-	return t.Grad[r*t.Cols+c]
-}
 
 // ensureGrad allocates the gradient buffer on demand, zeroed. Backward
 // kernels that add into only some elements (scatters, one lane of
@@ -157,7 +143,7 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Tape records operations for reverse-mode differentiation. A tape
-// built by NewTapeWS (or Workspace.Tape) draws op-result storage from
+// built by Workspace.Tape draws op-result storage from
 // its workspace; a plain NewTape allocates, and both produce
 // byte-identical values.
 type Tape struct {

@@ -50,10 +50,6 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-// NewTapeWS returns a tape whose op results draw storage from ws
-// (nil ws degrades to a plain allocating tape).
-func NewTapeWS(ws *Workspace) *Tape { return &Tape{ws: ws} }
-
 // Tape resets the workspace and returns its owned tape (also reset) —
 // the per-iteration entry point: every tensor and recording from the
 // previous iteration is reclaimed before the next forward pass begins.
