@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # verify.sh — the contributor verification loop from CLAUDE.md:
-# build, vet, a gofmt check, full tests, then the race-mode pass that
-# gates the concurrency layer (internal/par and the obs collectors), a
+# build, vet (the jobbench module too), a gofmt check, full tests,
+# then the race-mode pass that gates the concurrency layer
+# (internal/par and the obs collectors), a
 # 50-run two-core repeat of the worker-pool tests, a race-mode
 # pass over the fault-tolerance suite (injected faults, checkpoint/
 # resume, panic containment), the property/differential-oracle gate,
@@ -23,6 +24,9 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+# jobbench is a module of its own, so ./... skips it: compile, vet and
+# unit-test it here, or a deleted name it calls breaks only the benchmark.
+(cd jobbench && GOWORK=off go vet . && GOWORK=off go test .)
 test -z "$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 go test ./...
 go test -race -short ./...
