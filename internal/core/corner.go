@@ -31,18 +31,6 @@ type CornerTerm struct {
 	Lambda float64
 }
 
-// DefaultCornerTerms is the standard three-corner matrix: the slow
-// (setup-critical) and typical corners at full weight, the fast corner
-// at half weight — it mostly matters through the hold guard, which
-// checks it exactly rather than through the smoothed penalty.
-func DefaultCornerTerms() []CornerTerm {
-	return []CornerTerm{
-		{Corner: sta.FastCorner(), Lambda: 0.5},
-		{Corner: sta.TypicalCorner(), Lambda: 1.0},
-		{Corner: sta.SlowCorner(), Lambda: 1.0},
-	}
-}
-
 // CornerTermsFor wraps plain corners as equally-weighted matrix terms
 // — the cmd/serve layers' bridge from a -corners flag to refiner
 // options.

@@ -100,13 +100,24 @@ func TestCornerPenaltyScalesExactly(t *testing.T) {
 	}
 }
 
+// threeCorners is the fast/typical/slow matrix these tests refine
+// under. The fast corner has half weight: it matters mostly through the
+// hold guard, which checks it exactly.
+func threeCorners() []CornerTerm {
+	return []CornerTerm{
+		{Corner: sta.FastCorner(), Lambda: 0.5},
+		{Corner: sta.TypicalCorner(), Lambda: 1},
+		{Corner: sta.SlowCorner(), Lambda: 1},
+	}
+}
+
 // TestRefineMultiCornerRuns: the full three-corner matrix refines
 // without error, keeps finite matrix metrics, and never regresses the
 // matrix WNS/TNS pair (the accept rule is lexicographic on it).
 func TestRefineMultiCornerRuns(t *testing.T) {
 	r, _ := fixture(t)
 	opt := guardOptions()
-	opt.Corners = DefaultCornerTerms()
+	opt.Corners = threeCorners()
 	res, err := refinerWith(t, r, opt).Refine()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +161,7 @@ func TestHoldCornerSelection(t *testing.T) {
 func TestRefineHoldGuardNeverWorsensHold(t *testing.T) {
 	r, _ := fixture(t)
 	opt := guardOptions()
-	opt.Corners = DefaultCornerTerms()
+	opt.Corners = threeCorners()
 	opt.HoldGuard = true
 	rg := refinerWith(t, r, opt)
 	base, err := rg.holdVios(r.Prep.Forest)
@@ -180,14 +191,14 @@ func TestRefineMultiCornerNaNDegradesToBest(t *testing.T) {
 	const k = 3
 	copt := guardOptions()
 	copt.N = k
-	copt.Corners = DefaultCornerTerms()
+	copt.Corners = threeCorners()
 	clean, err := refinerWith(t, r, copt).Refine()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fopt := guardOptions()
-	fopt.Corners = DefaultCornerTerms()
+	fopt.Corners = threeCorners()
 	fopt.MaxRecoveries = 2
 	inj := fault.New(7)
 	// The site fires once per gradient build: two adaptive-θ probes,
@@ -204,7 +215,7 @@ func TestRefineMultiCornerNaNDegradesToBest(t *testing.T) {
 	sameResult(t, clean, faulty, "corner-degraded-equals-clean-prefix")
 
 	// The kept solution stays finite at every corner of the matrix.
-	for _, ct := range DefaultCornerTerms() {
+	for _, ct := range threeCorners() {
 		sopt := guardOptions()
 		sopt.Corners = []CornerTerm{ct}
 		rv := refinerWith(t, r, sopt)

@@ -10,7 +10,6 @@ import (
 
 	"tsteiner/internal/guard"
 	"tsteiner/internal/lib"
-	"tsteiner/internal/rsmt"
 )
 
 // TestReadJSONRejectsTruncated: truncated design JSON surfaces as a
@@ -32,7 +31,7 @@ func TestReadJSONRejectsTruncated(t *testing.T) {
 	}
 }
 
-// TestFileRoundTripAtomic: the file-level helpers write atomically and
+// TestFileRoundTripAtomic: the design file helpers write atomically and
 // reject corruption with the path filled in.
 func TestFileRoundTripAtomic(t *testing.T) {
 	l := lib.Default()
@@ -50,37 +49,15 @@ func TestFileRoundTripAtomic(t *testing.T) {
 		t.Fatal("design stats lost through file round trip")
 	}
 
-	f, err := rsmt.BuildAll(d, rsmt.DefaultOptions())
-	if err != nil {
+	// Corrupt the file: the load must fail typed, carrying the path.
+	data, _ := os.ReadFile(dPath)
+	if err := os.WriteFile(dPath, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
-	}
-	fPath := filepath.Join(dir, "forest.json")
-	if err := WriteForestJSONFile(fPath, f); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := ReadForestJSONFile(fPath, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f2.Trees) != len(f.Trees) {
-		t.Fatalf("forest has %d trees, want %d", len(f2.Trees), len(f.Trees))
-	}
-
-	// Corrupt both files: loads must fail typed, carrying the path.
-	for _, p := range []string{dPath, fPath} {
-		data, _ := os.ReadFile(p)
-		if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	_, err = ReadJSONFile(dPath, l)
 	var ce *guard.CorruptError
 	if !errors.As(err, &ce) || ce.Path != dPath {
 		t.Fatalf("design corrupt: got %v, want *guard.CorruptError with path", err)
-	}
-	_, err = ReadForestJSONFile(fPath, d)
-	if !errors.As(err, &ce) || ce.Path != fPath {
-		t.Fatalf("forest corrupt: got %v, want *guard.CorruptError with path", err)
 	}
 
 	// No temp litter.
@@ -88,7 +65,7 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 2 {
-		t.Fatalf("directory has %d entries, want 2", len(ents))
+	if len(ents) != 1 {
+		t.Fatalf("directory has %d entries, want 1", len(ents))
 	}
 }

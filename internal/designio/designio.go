@@ -324,29 +324,6 @@ type jsonForest struct {
 	Trees []jsonForestTree
 }
 
-// WriteForestJSONFile serializes a forest to path atomically.
-func WriteForestJSONFile(path string, f *rsmt.Forest) error {
-	return guard.AtomicWriteFunc(path, func(w io.Writer) error { return WriteForestJSON(w, f) })
-}
-
-// ReadForestJSONFile loads a forest from path; decode failures carry the
-// path.
-func ReadForestJSONFile(path string, d *netlist.Design) (*rsmt.Forest, error) {
-	r, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	f, err := ReadForestJSON(r, d)
-	if err != nil {
-		if ce, ok := err.(*guard.CorruptError); ok && ce.Path == "" {
-			ce.Path = path
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
 // WriteForestJSON serializes a Steiner forest (checkpointing refined
 // solutions).
 func WriteForestJSON(w io.Writer, f *rsmt.Forest) error {

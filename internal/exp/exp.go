@@ -148,9 +148,6 @@ func (s *Suite) logf(format string, args ...any) {
 	}
 }
 
-// Specs returns the active benchmark list.
-func (s *Suite) Specs() []synth.Spec { return s.specs }
-
 // Sample lazily builds the baseline flow record of one design.
 func (s *Suite) Sample(name string) (*train.Sample, error) {
 	if got, ok := s.samples[name]; ok {

@@ -43,8 +43,8 @@ func TestNewSuiteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Specs()) != 10 {
-		t.Fatalf("default suite has %d specs", len(s.Specs()))
+	if len(s.specs) != 10 {
+		t.Fatalf("default suite has %d specs", len(s.specs))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"tsteiner/internal/metrics"
 	"tsteiner/internal/obs"
 	"tsteiner/internal/report"
-	"tsteiner/internal/synth"
 	"tsteiner/internal/train"
 )
 
@@ -327,13 +326,4 @@ func (r *Table4Result) Render(w io.Writer) error {
 	t.AddRow("— Ratio Avg.", "1.000", "1.000", "1.000",
 		report.F(r.AvgTotalRatio, 3), "", report.F(r.AvgGRRatio, 3), report.F(r.AvgDRRatio, 3))
 	return t.Render(w)
-}
-
-// specByName is a small helper for tests.
-func specByName(name string) synth.Spec {
-	s, err := synth.BenchmarkByName(name)
-	if err != nil {
-		panic(fmt.Sprintf("unknown benchmark %s", name))
-	}
-	return s
 }

@@ -101,19 +101,6 @@ func (b BBox) Expand(p Point) BBox {
 	return b
 }
 
-// Union returns the smallest box containing both operands.
-func (b BBox) Union(o BBox) BBox {
-	if b.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return b
-	}
-	b = b.Expand(Point{o.XLo, o.YLo})
-	b = b.Expand(Point{o.XHi, o.YHi})
-	return b
-}
-
 // Contains reports whether p lies inside the (inclusive) box.
 func (b BBox) Contains(p Point) bool {
 	return p.X >= b.XLo && p.X <= b.XHi && p.Y >= b.YLo && p.Y <= b.YHi

@@ -113,23 +113,6 @@ func TestBBoxExpandContains(t *testing.T) {
 	}
 }
 
-func TestBBoxUnion(t *testing.T) {
-	a := BBoxOf([]Point{{0, 0}, {2, 2}})
-	b := BBoxOf([]Point{{5, -1}, {6, 7}})
-	u := a.Union(b)
-	for _, p := range []Point{{0, 0}, {2, 2}, {5, -1}, {6, 7}} {
-		if !u.Contains(p) {
-			t.Errorf("union should contain %v", p)
-		}
-	}
-	if got := a.Union(EmptyBBox()); got != a {
-		t.Errorf("union with empty should be identity, got %+v", got)
-	}
-	if got := EmptyBBox().Union(a); got != a {
-		t.Errorf("empty union a should be a, got %+v", got)
-	}
-}
-
 func TestBBoxClamp(t *testing.T) {
 	b := BBox{0, 0, 10, 5}
 	cases := []struct {

@@ -39,20 +39,6 @@ type BatchPrediction struct {
 // LaneSlack returns candidate k's slack values (a no-copy view).
 func (bp *BatchPrediction) LaneSlack(k int) []float64 { return bp.Slack.LaneData(k) }
 
-// Lane returns candidate k's prediction as detached unbatched tensors
-// (no tape, no grad flow) — for callers that want the sequential
-// Prediction shape.
-func (bp *BatchPrediction) Lane(k int) Prediction {
-	view := func(t *tensor.Tensor) *tensor.Tensor {
-		return &tensor.Tensor{Rows: t.Rows, Cols: t.Cols, Data: t.LaneData(k)}
-	}
-	return Prediction{
-		Arrival:         view(bp.Arrival),
-		EndpointArrival: view(bp.EndpointArrival),
-		Slack:           view(bp.Slack),
-	}
-}
-
 // LeavesFromCoordsBatch builds K-lane (X_s, Y_s) leaf tensors from
 // lane-major flat coordinate buffers (lanes × NSteiner values each,
 // candidate k's coordinates in block k), copying into tape-owned

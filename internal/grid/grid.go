@@ -222,26 +222,6 @@ func (g *Grid) TotalOverflow() int {
 	return sum
 }
 
-// MaxUtilization returns the highest usage/capacity ratio over all edges.
-func (g *Grid) MaxUtilization() float64 {
-	best := 0.0
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W-1; x++ {
-			if r := float64(g.UsageH(x, y)) / float64(g.capDir[Horiz]); r > best {
-				best = r
-			}
-		}
-	}
-	for y := 0; y < g.H-1; y++ {
-		for x := 0; x < g.W; x++ {
-			if r := float64(g.UsageV(x, y)) / float64(g.capDir[Vert]); r > best {
-				best = r
-			}
-		}
-	}
-	return best
-}
-
 // CongestionAt returns the worst incident-edge utilization of the GCell
 // containing p — the signal edge shifting uses to steer Steiner points
 // away from hot spots.

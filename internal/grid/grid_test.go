@@ -139,19 +139,6 @@ func TestCostMonotoneInUsage(t *testing.T) {
 	}
 }
 
-func TestMaxUtilization(t *testing.T) {
-	g := mk(t)
-	if g.MaxUtilization() != 0 {
-		t.Fatal("fresh grid has utilization")
-	}
-	g.AddV(3, 2, g.CapDir(Vert)/2)
-	got := g.MaxUtilization()
-	want := float64(g.CapDir(Vert)/2) / float64(g.CapDir(Vert))
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MaxUtilization=%f want %f", got, want)
-	}
-}
-
 func TestCongestionAt(t *testing.T) {
 	g := mk(t)
 	p := g.Center(4, 3)

@@ -112,19 +112,6 @@ func (d *Design) Net(id NetID) *Net { return &d.Nets[id] }
 // NumPins returns the number of pins in the design.
 func (d *Design) NumPins() int { return len(d.Pins) }
 
-// IsStartpoint reports whether pin id launches timing paths: a primary
-// input or a register output (Q).
-func (d *Design) IsStartpoint(id PinID) bool {
-	p := d.Pin(id)
-	if p.IsPort {
-		return p.Dir == Output // PI drives into the design
-	}
-	if p.Dir != Output {
-		return false
-	}
-	return d.Cell(p.Cell).Master.Sequential
-}
-
 // IsEndpoint reports whether pin id terminates timing paths: a primary
 // output or a register data input (D).
 func (d *Design) IsEndpoint(id PinID) bool {
@@ -168,17 +155,6 @@ func (d *Design) Endpoints() []PinID {
 	var out []PinID
 	for id := range d.Pins {
 		if d.IsEndpoint(PinID(id)) {
-			out = append(out, PinID(id))
-		}
-	}
-	return out
-}
-
-// Startpoints returns all timing startpoints (PIs and register Q pins).
-func (d *Design) Startpoints() []PinID {
-	var out []PinID
-	for id := range d.Pins {
-		if d.IsStartpoint(PinID(id)) {
 			out = append(out, PinID(id))
 		}
 	}

@@ -122,8 +122,8 @@ func TestObserverConcurrentPools(t *testing.T) {
 
 // TestSeedStatisticalSanity checks that SplitMix64-style per-index seeds
 // are well spread: distinct, bit-balanced, and decorrelated between
-// adjacent indices — the property MapSeeded relies on so neighboring tasks
-// never share statistically similar streams.
+// adjacent indices — the property per-index seeding relies on so
+// neighboring tasks never share statistically similar streams.
 func TestSeedStatisticalSanity(t *testing.T) {
 	const n = 20000
 	seen := make(map[int64]struct{}, n)

@@ -8,7 +8,7 @@
 //  1. A task's result may depend only on its index and its input item,
 //     never on which goroutine ran it or in what order tasks completed.
 //  2. Any randomness inside a task must flow from a per-index seed
-//     (Seed / MapSeeded), never from a stream shared across tasks.
+//     (Seed), never from a stream shared across tasks.
 //
 // Under those rules Map(w, items, fn) is observationally identical to the
 // serial loop for any w, which is what lets the experiment suite assert
@@ -17,7 +17,6 @@ package par
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -219,14 +218,4 @@ func Seed(base int64, index int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// MapSeeded is Map with a fresh *rand.Rand per task, seeded from
-// (baseSeed, index): the canonical shape for parallel randomized trials
-// (random disturbance, perturbation augmentation) whose output must be
-// byte-identical for any worker count.
-func MapSeeded[T, R any](workers int, baseSeed int64, items []T, fn func(i int, item T, rng *rand.Rand) (R, error)) ([]R, error) {
-	return Map(workers, items, func(i int, item T) (R, error) {
-		return fn(i, item, rand.New(rand.NewSource(Seed(baseSeed, i))))
-	})
 }

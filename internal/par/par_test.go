@@ -63,14 +63,15 @@ func TestMapMatchesSerialProperty(t *testing.T) {
 }
 
 // TestSeedStabilityProperty asserts per-index seed determinism: the same
-// (base, index) always yields the same seed, and the per-task RNG streams
-// of MapSeeded are identical for every worker count.
+// (base, index) always yields the same seed, and per-task RNG streams
+// seeded from it inside Map are identical for every worker count.
 func TestSeedStabilityProperty(t *testing.T) {
 	f := func(base int64, n uint8, workers uint8) bool {
 		count := int(n%32) + 1
 		items := make([]struct{}, count)
 		draw := func(w int) ([]float64, error) {
-			return MapSeeded(w, base, items, func(i int, _ struct{}, rng *rand.Rand) (float64, error) {
+			return Map(w, items, func(i int, _ struct{}) (float64, error) {
+				rng := rand.New(rand.NewSource(Seed(base, i)))
 				return rng.Float64() + float64(i), nil
 			})
 		}

@@ -234,12 +234,12 @@ func TestMovingSteinerChangesDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, ys, idx := f.Trees[0].SteinerPositionsOfTree()
-	for i := range xs {
-		xs[i] += 40
-		ys[i] += 15
+	for i := range f.Trees[0].Nodes {
+		if n := &f.Trees[0].Nodes[i]; n.Kind == rsmt.SteinerNode {
+			n.Pos.X += 40
+			n.Pos.Y += 15
+		}
 	}
-	f.Trees[0].SetPositionsOfTree(xs, ys, idx)
 	after, err := ExtractFromTrees(d, f, l)
 	if err != nil {
 		t.Fatal(err)

@@ -198,28 +198,6 @@ func (t *Tree) Radius() float64 {
 	return r
 }
 
-// SteinerPositionsOfTree extracts this tree's Steiner coordinates and the
-// node indices they came from (a single-tree analogue of the forest-level
-// SteinerPositions).
-func (t *Tree) SteinerPositionsOfTree() (xs, ys []float64, nodes []int32) {
-	for i := range t.Nodes {
-		if t.Nodes[i].Kind == SteinerNode {
-			xs = append(xs, t.Nodes[i].Pos.X)
-			ys = append(ys, t.Nodes[i].Pos.Y)
-			nodes = append(nodes, int32(i))
-		}
-	}
-	return xs, ys, nodes
-}
-
-// SetPositionsOfTree writes Steiner coordinates back into this tree
-// without bounds clamping (callers clamp when a die is in scope).
-func (t *Tree) SetPositionsOfTree(xs, ys []float64, nodes []int32) {
-	for i, n := range nodes {
-		t.Nodes[n].Pos = geom.FPoint{X: xs[i], Y: ys[i]}
-	}
-}
-
 // Forest is the Steiner tree set S_T of a design: one tree per net, in net
 // order.
 type Forest struct {

@@ -236,11 +236,6 @@ func (c *Client) Forest(id string) ([]byte, error) {
 	return c.fetch(id, "/forest")
 }
 
-// Trace downloads a job's NDJSON obs trace.
-func (c *Client) Trace(id string) ([]byte, error) {
-	return c.fetch(id, "/trace")
-}
-
 func (c *Client) fetch(id, suffix string) ([]byte, error) {
 	resp, err := c.httpClient().Get(c.Base + "/jobs/" + url.PathEscape(id) + suffix)
 	if err != nil {

@@ -395,14 +395,3 @@ func (r *Result) CriticalPath(d *netlist.Design) []netlist.PinID {
 	}
 	return out
 }
-
-// Metrics is the compact sign-off summary used in tables.
-type Metrics struct {
-	WNS, TNS float64
-	Vios     int
-}
-
-// Metrics extracts the summary triple.
-func (r *Result) Metrics() Metrics {
-	return Metrics{WNS: r.WNS, TNS: r.TNS, Vios: r.Vios}
-}

@@ -76,10 +76,6 @@ func TestRunProducesConsistentMetrics(t *testing.T) {
 		t.Fatalf("metrics inconsistent: got WNS=%g TNS=%g Vios=%d want %g/%g/%d",
 			res.WNS, res.TNS, res.Vios, wns, tns, vios)
 	}
-	m := res.Metrics()
-	if m.WNS != res.WNS || m.TNS != res.TNS || m.Vios != res.Vios {
-		t.Fatal("Metrics() mismatch")
-	}
 }
 
 func TestArrivalMonotoneAlongNets(t *testing.T) {
@@ -232,7 +228,7 @@ func TestCriticalPathEndsAtWorstEndpoint(t *testing.T) {
 			d.Pin(last).Name, d.Pin(worstPin).Name)
 	}
 	// Path must start at a startpoint and arrivals must be nondecreasing.
-	if !d.IsStartpoint(path[0]) {
+	if len(d.Graph().Fanin(path[0])) != 0 {
 		t.Fatalf("critical path starts at non-startpoint %s", d.Pin(path[0]).Name)
 	}
 	for i := 1; i < len(path); i++ {

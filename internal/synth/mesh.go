@@ -22,11 +22,6 @@ type MeshSpec struct {
 	ClockNS float64
 }
 
-// DefaultMesh returns an 8×8 array spec.
-func DefaultMesh() MeshSpec {
-	return MeshSpec{Name: "mesh8x8", Rows: 8, Cols: 8, ClockNS: 0.55}
-}
-
 // pe records one processing element's boundary pins.
 type pe struct {
 	westSinks  []netlist.PinID // input pins fed by the west neighbour

@@ -224,7 +224,7 @@ func TestDegenerateSpecRejected(t *testing.T) {
 
 func TestGenerateMesh(t *testing.T) {
 	l := lib.Default()
-	spec := DefaultMesh()
+	spec := MeshSpec{Name: "mesh8x8", Rows: 8, Cols: 8, ClockNS: 0.55}
 	d, err := GenerateMesh(spec, l)
 	if err != nil {
 		t.Fatal(err)
@@ -260,11 +260,15 @@ func TestMeshThroughFullFlowViaSTA(t *testing.T) {
 	if st.CellNodes == 0 || st.Endpoints == 0 {
 		t.Fatalf("empty mesh stats: %+v", st)
 	}
-	// Every PE-to-PE net is register-bounded: the startpoint count is
-	// PIs + registers.
-	wantStarts := len(d.PIs) + 16
-	if got := len(d.Startpoints()); got != wantStarts {
-		t.Fatalf("startpoints=%d want %d", got, wantStarts)
+	// Every PE-to-PE net is register-bounded: one register per PE.
+	regs := 0
+	for i := range d.Cells {
+		if d.Cells[i].Master.Sequential {
+			regs++
+		}
+	}
+	if regs != 16 {
+		t.Fatalf("registers=%d want 16", regs)
 	}
 }
 

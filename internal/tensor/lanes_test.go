@@ -144,9 +144,6 @@ func TestGradLanesPerOp(t *testing.T) {
 			{"tanh", lanedRand(K, 4, 3, 12), func(tp *Tape, x *Tensor) (*Tensor, error) {
 				return tp.Tanh(x)
 			}},
-			{"sigmoid", lanedRand(K, 4, 3, 13), func(tp *Tape, x *Tensor) (*Tensor, error) {
-				return tp.Sigmoid(x)
-			}},
 			{"softplus", lanedRand(K, 4, 3, 14), func(tp *Tape, x *Tensor) (*Tensor, error) {
 				return tp.Softplus(x)
 			}},
@@ -218,14 +215,7 @@ func TestGradLanesPerOp(t *testing.T) {
 				checkGradK(t, c.name, x, f)
 			})
 		}
-		// ReLU and Abs need values away from the kink.
-		relu := lanedRand(K, 4, 3, 15)
-		for i := range relu.Data {
-			if math.Abs(relu.Data[i]) < 0.05 {
-				relu.Data[i] = 0.1
-			}
-		}
-		checkGradK(t, "relu", relu, func(tp *Tape, x *Tensor) (*Tensor, error) { return tp.ReLU(x) })
+		// Abs needs values away from the kink.
 		abs := lanedRand(K, 4, 3, 16)
 		for i := range abs.Data {
 			if math.Abs(abs.Data[i]) < 0.05 {

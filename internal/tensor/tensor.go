@@ -71,9 +71,6 @@ func (t *Tensor) LaneGrad(l int) []float64 {
 	return t.Grad[l*st : (l+1)*st]
 }
 
-// Set writes element (r, c).
-func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
-
 // ensureGrad allocates the gradient buffer on demand, zeroed. Backward
 // kernels that add into only some elements (scatters, one lane of
 // several, parameter reductions) use it; see ensureGradRaw for the
@@ -494,32 +491,6 @@ func (tp *Tape) MulBroadcast(a, s *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// ReLU returns max(0, a) elementwise.
-func (tp *Tape) ReLU(a *Tensor) (*Tensor, error) {
-	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				if a.Data[i] > 0 {
-					a.Grad[i] += out.Grad[i]
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
@@ -541,27 +512,6 @@ func (tp *Tape) Tanh(a *Tensor) (*Tensor, error) {
 			for i, g := range out.Grad {
 				y := out.Data[i]
 				a.Grad[i] += g * (1 - y*y)
-			}
-		})
-	}
-	return out, nil
-}
-
-// Sigmoid returns 1/(1+e^-a) elementwise.
-func (tp *Tape) Sigmoid(a *Tensor) (*Tensor, error) {
-	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
-	for i, v := range a.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				y := out.Data[i]
-				a.Grad[i] += out.Grad[i] * y * (1 - y)
 			}
 		})
 	}

@@ -108,7 +108,6 @@ func TestGradActivations(t *testing.T) {
 		op   func(tp *Tape, x *Tensor) (*Tensor, error)
 	}{
 		{"tanh", func(tp *Tape, x *Tensor) (*Tensor, error) { return tp.Tanh(x) }},
-		{"sigmoid", func(tp *Tape, x *Tensor) (*Tensor, error) { return tp.Sigmoid(x) }},
 		{"softplus", func(tp *Tape, x *Tensor) (*Tensor, error) { return tp.Softplus(x) }},
 	} {
 		x := randTensor(4, 4, 11)
@@ -121,23 +120,6 @@ func TestGradActivations(t *testing.T) {
 			return tp.Sum(y)
 		})
 	}
-}
-
-func TestGradReLU(t *testing.T) {
-	// Keep values away from the kink for finite differences.
-	x := randTensor(4, 4, 12)
-	for i := range x.Data {
-		if math.Abs(x.Data[i]) < 0.05 {
-			x.Data[i] = 0.1
-		}
-	}
-	checkGrad(t, "relu", x, func(tp *Tape, x *Tensor) (*Tensor, error) {
-		y, err := tp.ReLU(x)
-		if err != nil {
-			return nil, err
-		}
-		return tp.Sum(y)
-	})
 }
 
 func TestGradAbs(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package viz renders layouts and congestion maps as SVG: die, cells,
-// Steiner trees (pins, Steiner points, edges) and per-edge routing
-// utilization heat. Useful for eyeballing what refinement did to a design.
+// Package viz renders layouts as SVG: die, cells and Steiner trees
+// (pins, Steiner points, edges). Useful for eyeballing what refinement
+// did to a design.
 package viz
 
 import (
@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"tsteiner/internal/grid"
 	"tsteiner/internal/netlist"
 	"tsteiner/internal/rsmt"
 )
@@ -90,52 +89,3 @@ func WriteLayoutSVG(w io.Writer, d *netlist.Design, f *rsmt.Forest, opt LayoutOp
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// WriteCongestionSVG draws per-GCell routing utilization as a heat map:
-// white (idle) through yellow to red (over capacity).
-func WriteCongestionSVG(w io.Writer, g *grid.Grid, pxPerGCell float64) error {
-	if pxPerGCell <= 0 {
-		pxPerGCell = 8
-	}
-	width := float64(g.W) * pxPerGCell
-	height := float64(g.H) * pxPerGCell
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		width, height, width, height)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			u := g.CongestionAt(g.Center(x, y))
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
-				float64(x)*pxPerGCell, float64(g.H-1-y)*pxPerGCell, pxPerGCell, pxPerGCell, heat(u))
-		}
-	}
-	b.WriteString("</svg>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// heat maps utilization to a white→yellow→red color ramp.
-func heat(u float64) string {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1.5 {
-		u = 1.5
-	}
-	switch {
-	case u <= 0.5:
-		// white → yellow
-		t := u / 0.5
-		return rgb(255, 255, int(255*(1-t)))
-	case u <= 1.0:
-		// yellow → red
-		t := (u - 0.5) / 0.5
-		return rgb(255, int(255*(1-t)), 0)
-	default:
-		// red → dark red
-		t := (u - 1.0) / 0.5
-		return rgb(int(255-100*t), 0, 0)
-	}
-}
-
-func rgb(r, g, b int) string { return fmt.Sprintf("#%02x%02x%02x", r, g, b) }

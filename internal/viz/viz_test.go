@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"tsteiner/internal/grid"
 	"tsteiner/internal/lib"
 	"tsteiner/internal/netlist"
 	"tsteiner/internal/place"
@@ -71,47 +70,5 @@ func TestLayoutHighlightAndCap(t *testing.T) {
 	var buf2 bytes.Buffer
 	if err := WriteLayoutSVG(&buf2, d, f, LayoutOptions{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteCongestionSVG(t *testing.T) {
-	d, _ := fixture(t)
-	g, err := grid.New(d.Die, 8, []int{0, 4, 4, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AddH(1, 1, 20) // hot spot
-	var buf bytes.Buffer
-	if err := WriteCongestionSVG(&buf, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	svg := buf.String()
-	if strings.Count(svg, "<rect") != g.W*g.H {
-		t.Fatalf("rect count %d != %d GCells", strings.Count(svg, "<rect"), g.W*g.H)
-	}
-	// The saturated cell should be dark red-ish, idle ones white.
-	if !strings.Contains(svg, "#ffffff") {
-		t.Fatal("idle cells should render white")
-	}
-	if !strings.Contains(svg, "#9b0000") {
-		t.Fatalf("hot spot color missing")
-	}
-}
-
-func TestHeatRamp(t *testing.T) {
-	if heat(0) != "#ffffff" {
-		t.Fatalf("heat(0)=%s", heat(0))
-	}
-	if heat(0.5) != "#ffff00" {
-		t.Fatalf("heat(0.5)=%s", heat(0.5))
-	}
-	if heat(1.0) != "#ff0000" {
-		t.Fatalf("heat(1.0)=%s", heat(1.0))
-	}
-	if heat(99) != heat(1.5) {
-		t.Fatal("heat must clamp")
-	}
-	if heat(-1) != heat(0) {
-		t.Fatal("negative utilization must clamp to 0")
 	}
 }
