@@ -20,6 +20,9 @@ type Graph struct {
 	// order.
 	fanoutAt, faninAt []int32
 	fanout, fanin     []PinID
+	// endpoints lists the pins Design.IsEndpoint accepts, in pin-ID
+	// order.
+	endpoints []PinID
 }
 
 // Order returns every pin in topological order (shared; do not modify).
@@ -79,6 +82,9 @@ func newGraph(d *Design) (*Graph, error) {
 	for p := 0; p < n; p++ {
 		if indeg[p] == 0 {
 			g.order = append(g.order, PinID(p))
+		}
+		if d.IsEndpoint(PinID(p)) {
+			g.endpoints = append(g.endpoints, PinID(p))
 		}
 	}
 	// order doubles as the FIFO queue: pins before head are ordered.

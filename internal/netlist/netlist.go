@@ -150,15 +150,12 @@ func (d *Design) pinMasterName(id PinID) string {
 func (d *Design) MasterPinName(id PinID) string { return d.pinMasterName(id) }
 
 // Endpoints returns all timing endpoints (register D pins and POs) in
-// pin-ID order. The count matches the paper's "# Endpoints" column.
+// pin-ID order, listed once by Builder.Finish (shared; do not modify,
+// and capped like Graph.Fanout). The count matches the paper's
+// "# Endpoints" column.
 func (d *Design) Endpoints() []PinID {
-	var out []PinID
-	for id := range d.Pins {
-		if d.IsEndpoint(PinID(id)) {
-			out = append(out, PinID(id))
-		}
-	}
-	return out
+	e := d.graph.endpoints
+	return e[:len(e):len(e)]
 }
 
 // Stats summarizes the design for Table I reporting.

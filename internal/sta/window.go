@@ -158,7 +158,7 @@ func Retime(d *netlist.Design, prev *Result, rcs []rc.NetRC, changed []netlist.N
 // clone deep-copies the per-pin annotation arrays; the endpoint-aligned
 // slices are rebuilt from scratch by endpointMetrics.
 func (r *Result) clone() *Result {
-	c := &Result{
+	return &Result{
 		Corner:      r.Corner,
 		Arrival:     append([]float64(nil), r.Arrival...),
 		Slew:        append([]float64(nil), r.Slew...),
@@ -175,9 +175,6 @@ func (r *Result) clone() *Result {
 		SlewVios:    r.SlewVios,
 		MaxSlewSeen: r.MaxSlewSeen,
 	}
-	c.EndpointSlack = append([]float64(nil), r.EndpointSlack...)
-	c.EndpointArrival = append([]float64(nil), r.EndpointArrival...)
-	return c
 }
 
 // sameBits compares two floats for bit-identity (so NaN == NaN and
