@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -55,71 +56,38 @@ func cfp(r *Result) cornerFP {
 // byte-identical across shard counts {1,2,4} × worker counts {1,4} and
 // across the incremental path vs the full-route/full-STA Reference.
 func TestShardMultiCornerDeterminism(t *testing.T) {
-	factor := 10
-	if testing.Short() {
-		factor = 3
-	}
-	p := prepScaled(t, factor)
-
-	ref := testOptions()
-	ref.Reference = true
-	ref.Corners = sta.DefaultCorners()
-	refRes, err := Refine(p, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cfp(refRes)
-	if refRes.Rounds == 0 {
-		t.Fatal("refinement executed no rounds; the determinism test is vacuous")
-	}
-	if len(refRes.InitCorners) != 3 || len(refRes.Corners) != 3 {
-		t.Fatalf("corner rows missing: init=%d final=%d", len(refRes.InitCorners), len(refRes.Corners))
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 4} {
-			opt := testOptions()
-			opt.Shards = shards
-			opt.Workers = workers
-			opt.Corners = sta.DefaultCorners()
-			got, err := Refine(p, opt)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if g := cfp(got); g != want {
-				t.Fatalf("shards=%d workers=%d diverged:\n got %+v\nwant %+v", shards, workers, g, want)
-			}
-			if got.RetimedNets == 0 {
-				t.Fatalf("shards=%d workers=%d: incremental path never re-timed a net", shards, workers)
-			}
-		}
+	for _, factor := range determinismFactors() {
+		t.Run(fmt.Sprintf("%dx", factor), func(t *testing.T) { checkDeterminism(t, factor, sta.DefaultCorners()) })
 	}
 }
 
 // TestShardMultiCornerNeverRegresses: the matrix verdict only keeps a
 // round that holds or improves (worst-corner WNS, corner-summed TNS)
 // lexicographically, and the hold veto keeps the min-DelayScale
-// corner's hold count from growing.
+// corner's hold count from growing. The 1× fixture accepts rounds; the
+// 2× one rejects them all.
 func TestShardMultiCornerNeverRegresses(t *testing.T) {
-	p := prepScaled(t, 2)
-	opt := testOptions()
-	opt.Rounds = 5
-	opt.Corners = sta.DefaultCorners()
-	res, err := Refine(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iw, it := matrixOfRows(res.InitCorners)
-	fw, ft := matrixOfRows(res.Corners)
-	if fw < iw || (fw == iw && ft < it) {
-		t.Fatalf("matrix metrics regressed: (%g,%g) -> (%g,%g)", iw, it, fw, ft)
-	}
-	if res.Corners[0].HoldVios > res.InitCorners[0].HoldVios {
-		t.Fatalf("fast-corner hold violations grew: %d -> %d",
-			res.InitCorners[0].HoldVios, res.Corners[0].HoldVios)
-	}
-	if res.Accepted+res.Rejected != res.Rounds {
-		t.Fatalf("round accounting broken: %d+%d != %d", res.Accepted, res.Rejected, res.Rounds)
+	for _, factor := range []int{1, 2} {
+		p := prepScaled(t, factor)
+		opt := testOptions()
+		opt.Rounds = 5
+		opt.Corners = sta.DefaultCorners()
+		res, err := Refine(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iw, it := matrixOfRows(res.InitCorners)
+		fw, ft := matrixOfRows(res.Corners)
+		if fw < iw || (fw == iw && ft < it) {
+			t.Fatalf("%dx: matrix metrics regressed: (%g,%g) -> (%g,%g)", factor, iw, it, fw, ft)
+		}
+		if res.Corners[0].HoldVios > res.InitCorners[0].HoldVios {
+			t.Fatalf("%dx: fast-corner hold violations grew: %d -> %d",
+				factor, res.InitCorners[0].HoldVios, res.Corners[0].HoldVios)
+		}
+		if res.Accepted+res.Rejected != res.Rounds {
+			t.Fatalf("%dx: round accounting broken: %d+%d != %d", factor, res.Accepted, res.Rejected, res.Rounds)
+		}
 	}
 }
 

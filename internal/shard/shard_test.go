@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"tsteiner/internal/flow"
 	"tsteiner/internal/lib"
+	"tsteiner/internal/sta"
 	"tsteiner/internal/synth"
 )
 
@@ -83,40 +85,54 @@ func testOptions() Options {
 	return opt
 }
 
-// TestShardDeterminism is the issue's acceptance gate: on a 10× design,
-// the refined forest (coordinate hash) and every sign-off metric are
-// byte-identical across shard counts {1,2,4} × worker counts {1,4},
-// and across the incremental path vs the full-route/full-STA Reference.
-func TestShardDeterminism(t *testing.T) {
-	factor := 10
+// determinismFactors are the spm scales the determinism gates run: 1×,
+// where the Reference accepts a round, so the gates compare an accepted
+// candidate state, and 10× (3× under -short), where every round is
+// rejected.
+func determinismFactors() []int {
 	if testing.Short() {
-		factor = 3
+		return []int{1, 3}
 	}
+	return []int{1, 10}
+}
+
+// checkDeterminism refines a factor× spm with the full-route/full-STA
+// Reference, then incrementally at shard counts {1,2,4} × worker counts
+// {1,4}, and fails unless every run's forest, sign-off metrics and
+// corner rows are byte-identical to the Reference's. At 1× the
+// Reference must accept a round.
+func checkDeterminism(t *testing.T, factor int, corners []sta.Corner) {
 	p := prepScaled(t, factor)
 
 	ref := testOptions()
 	ref.Reference = true
+	ref.Corners = corners
 	refRes, err := Refine(p, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fp(refRes)
+	want := cfp(refRes)
 	if refRes.Rounds == 0 {
 		t.Fatal("refinement executed no rounds; the determinism test is vacuous")
 	}
+	if factor == 1 && refRes.Accepted < 1 {
+		t.Fatal("the 1x Reference accepted no round; no accepted state is compared")
+	}
+	if len(refRes.InitCorners) != len(corners) || len(refRes.Corners) != len(corners) {
+		t.Fatalf("corner rows missing: init=%d final=%d", len(refRes.InitCorners), len(refRes.Corners))
+	}
 
-	shardCounts := []int{1, 2, 4}
-	workerCounts := []int{1, 4}
-	for _, shards := range shardCounts {
-		for _, workers := range workerCounts {
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4} {
 			opt := testOptions()
 			opt.Shards = shards
 			opt.Workers = workers
+			opt.Corners = corners
 			got, err := Refine(p, opt)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
-			if g := fp(got); g != want {
+			if g := cfp(got); g != want {
 				t.Fatalf("shards=%d workers=%d diverged:\n got %+v\nwant %+v", shards, workers, g, want)
 			}
 			if got.RetimedNets == 0 {
@@ -126,25 +142,38 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardDeterminism is the sharded engine's acceptance gate: the
+// refined forest (coordinate hash) and every sign-off metric are
+// byte-identical across shard counts {1,2,4} × worker counts {1,4},
+// and across the incremental path vs the full-route/full-STA Reference.
+func TestShardDeterminism(t *testing.T) {
+	for _, factor := range determinismFactors() {
+		t.Run(fmt.Sprintf("%dx", factor), func(t *testing.T) { checkDeterminism(t, factor, nil) })
+	}
+}
+
 // TestShardNeverRegresses: the global accept rule only ever keeps a
 // round that holds or improves (WNS, TNS) lexicographically, so the
-// final metrics can never be worse than the initial ones.
+// final metrics can never be worse than the initial ones. The 1×
+// fixture accepts rounds; the 2× one rejects them all.
 func TestShardNeverRegresses(t *testing.T) {
-	p := prepScaled(t, 2)
-	opt := testOptions()
-	opt.Rounds = 5
-	res, err := Refine(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WNS < res.InitWNS {
-		t.Fatalf("WNS regressed: %v -> %v", res.InitWNS, res.WNS)
-	}
-	if res.WNS == res.InitWNS && res.TNS < res.InitTNS {
-		t.Fatalf("TNS regressed at equal WNS: %v -> %v", res.InitTNS, res.TNS)
-	}
-	if res.Accepted+res.Rejected != res.Rounds {
-		t.Fatalf("round accounting broken: %d+%d != %d", res.Accepted, res.Rejected, res.Rounds)
+	for _, factor := range []int{1, 2} {
+		p := prepScaled(t, factor)
+		opt := testOptions()
+		opt.Rounds = 5
+		res, err := Refine(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WNS < res.InitWNS {
+			t.Fatalf("%dx: WNS regressed: %v -> %v", factor, res.InitWNS, res.WNS)
+		}
+		if res.WNS == res.InitWNS && res.TNS < res.InitTNS {
+			t.Fatalf("%dx: TNS regressed at equal WNS: %v -> %v", factor, res.InitTNS, res.TNS)
+		}
+		if res.Accepted+res.Rejected != res.Rounds {
+			t.Fatalf("%dx: round accounting broken: %d+%d != %d", factor, res.Accepted, res.Rejected, res.Rounds)
+		}
 	}
 }
 
