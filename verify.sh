@@ -17,8 +17,9 @@
 # batched per-candidate records), the live-observability smoke gate
 # (-obs-listen scrape via tracestat + trace-fixture A/B regression
 # detection), the tsteinerd daemon gates (byte-identity fault matrix
-# under -race plus a boot/submit/scrape/drain smoke), and a refresh of
-# the per-package coverage baseline in COVERAGE.md.
+# under -race plus a boot/submit/scrape/drain smoke), a refresh of
+# the per-package coverage baseline in COVERAGE.md, and a print of the
+# non-test Go line count.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -192,3 +193,8 @@ go test -run '^$' -fuzz FuzzParseCorners -fuzztime 10s -fuzzminimizetime=5x ./in
   echo '```'
 } > COVERAGE.md
 echo "coverage baseline written to COVERAGE.md"
+
+# Size metric: lines of tracked non-test Go outside jobbench/, the
+# count every change reports its delta against. git ls-files, not find:
+# the git-ignored .bench_build/ caches hold Go sources too.
+echo "non-test Go lines outside jobbench/: $(git ls-files -z '*.go' ':!:jobbench/' ':!:*_test.go' | xargs -0 cat | wc -l)"
