@@ -385,7 +385,7 @@ func SignoffTiming(p *Prepared, f *rsmt.Forest) (*Report, *sta.Result, error) {
 		cornerRows = make([]sta.CornerMetrics, len(cres))
 		for i, cr := range cres {
 			cornerRows[i] = cr.CornerSummary()
-			if timing == nil && cr.Corner == sta.TypicalCorner() {
+			if cr.Corner == sta.TypicalCorner() {
 				timing = cr
 			}
 		}

@@ -166,7 +166,6 @@ func (r *Result) clone() *Result {
 		Required:    append([]float64(nil), r.Required...),
 		PinSlack:    append([]float64(nil), r.PinSlack...),
 		argmaxPred:  append([]netlist.PinID(nil), r.argmaxPred...),
-		Endpoints:   r.Endpoints,
 		WNS:         r.WNS,
 		TNS:         r.TNS,
 		Vios:        r.Vios,
